@@ -17,6 +17,10 @@ namespace {
 
 constexpr std::size_t kReadChunk = 64 * 1024;
 
+constexpr std::string_view kCacheHit = "X-Cache: HIT\r\n";
+constexpr std::string_view kCacheMiss = "X-Cache: MISS\r\n";
+constexpr std::string_view kCacheDyn = "X-Cache: DYN\r\n";
+
 std::int64_t steady_us() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -27,7 +31,10 @@ std::int64_t steady_us() {
 
 BackendWorker::BackendWorker(std::uint32_t id, const SiteStore& site,
                              std::uint64_t cache_capacity)
-    : id_(id), site_(site), capacity_(cache_capacity) {}
+    : id_(id),
+      backend_header_("X-Backend: " + std::to_string(id) + "\r\n"),
+      site_(site),
+      capacity_(cache_capacity) {}
 
 BackendWorker::~BackendWorker() { stop(); }
 
@@ -142,13 +149,11 @@ void BackendWorker::run() {
       Conn& conn = it->second;
       bool dead = false;
       if (ev.events & (EPOLLHUP | EPOLLERR)) dead = true;
-      if (!dead && (ev.events & EPOLLIN)) {
-        handle_readable(conn);
-        dead = conn.parser.failed() && conn.out_off >= conn.out.size();
-      }
+      if (!dead && (ev.events & EPOLLIN)) handle_readable(conn);
       if (!dead && (ev.events & (EPOLLIN | EPOLLOUT))) dead = !flush(conn);
-      if (!dead && conn.closing && conn.out_off >= conn.out.size())
-        dead = true;
+      // Requests are answered synchronously, so a closing connection
+      // (EOF, Connection: close, parse error) is done once out drains.
+      if (!dead && conn.closing && conn.out.empty()) dead = true;
       if (dead) {
         loop_.del(conn.fd.get());
         conns_.erase(it);
@@ -162,10 +167,14 @@ void BackendWorker::handle_readable(Conn& conn) {
   while (true) {
     const ssize_t n = ::recv(conn.fd.get(), buf, sizeof(buf), 0);
     if (n > 0) {
-      if (!conn.parser.consume(std::string_view(buf,
-                                                static_cast<std::size_t>(n))))
+      if (!conn.parser.failed() &&
+          !conn.parser.consume(
+              std::string_view(buf, static_cast<std::size_t>(n))))
         conn.closing = true;
       while (auto req = conn.parser.pop()) serve_request(conn, *req);
+      // A short read drained the socket; level-triggered epoll reports
+      // anything that arrives later.
+      if (static_cast<std::size_t>(n) < sizeof(buf)) return;
       continue;
     }
     if (n == 0) {  // orderly shutdown from the peer
@@ -180,35 +189,50 @@ void BackendWorker::handle_readable(Conn& conn) {
 }
 
 void BackendWorker::serve_request(Conn& conn, const HttpRequest& req) {
+  if (!req.keep_alive) conn.closing = true;
+  // Every response is rendered straight into the connection's out
+  // buffer: status line, Content-Length, X-Backend, `cache_header` (a
+  // complete line or empty), `trace_headers`, blank line, body. The
+  // distributor relays these bytes verbatim, so this framing is what the
+  // client receives.
+  const auto render = [&](int status, std::string_view reason,
+                          std::string_view body,
+                          std::string_view cache_header,
+                          std::string_view trace_headers) {
+    std::string& out = conn.out.buffer();
+    append_response_head(out, status, reason, body.size());
+    out.append(backend_header_);
+    out.append(cache_header);
+    out.append(trace_headers);
+    out.append("\r\n");
+    out.append(body);
+  };
+
   // Cache-warming request class (docs/PREDICTOR.md): load the payload
   // into the LRU but send only a tiny ack back — the point is residency,
   // not bytes on the loopback — and keep every client-facing counter
   // untouched.
-  if (req.header("X-Prord-Prefetch") != nullptr) {
+  if (req.header("X-Prord-Prefetch")) {
     stats_.prefetch_requests.fetch_add(1, std::memory_order_relaxed);
-    std::string extra = "X-Backend: " + std::to_string(id_) + "\r\n";
     const trace::FileId file = site_.lookup(req.target);
     if (file == trace::kInvalidFile || SiteStore::is_dynamic(req.target)) {
-      conn.out += format_response(204, "No Content", "", extra);
-      if (!req.keep_alive) conn.closing = true;
+      render(204, "No Content", "", {}, {});
       return;
     }
+    std::string_view cache_header = kCacheHit;
     if (cache_get(file)) {
       stats_.prefetch_resident.fetch_add(1, std::memory_order_relaxed);
-      extra += "X-Cache: HIT\r\n";
     } else {
       cache_put(file, std::make_shared<const std::string>(
                           site_.make_payload(file)));
       stats_.prefetch_loads.fetch_add(1, std::memory_order_relaxed);
-      extra += "X-Cache: MISS\r\n";
+      cache_header = kCacheMiss;
     }
-    conn.out += format_response(200, "OK", "warmed\n", extra);
-    if (!req.keep_alive) conn.closing = true;
+    render(200, "OK", "warmed\n", cache_header, {});
     return;
   }
 
   stats_.requests.fetch_add(1, std::memory_order_relaxed);
-  std::string extra = "X-Backend: " + std::to_string(id_) + "\r\n";
 
   // Traced request (docs/OBSERVABILITY.md "Live tracing"): measure the
   // cache section and the total handling time, and echo both back —
@@ -216,34 +240,40 @@ void BackendWorker::serve_request(Conn& conn, const HttpRequest& req) {
   // measured round trip into queue-wait vs back-end work. The trace
   // header itself is echoed with the hop sequence bumped (0 = distributor
   // origin, 1 = this worker). Untraced requests pay one header lookup.
-  const std::string* trace_hdr = req.header(obs::kTraceHeader);
-  const bool traced = trace_hdr != nullptr;
+  const std::optional<std::string_view> trace_hdr =
+      req.header(obs::kTraceHeader);
+  const bool traced = trace_hdr.has_value();
   const std::int64_t t_start = traced ? steady_us() : 0;
   std::int64_t cache_us = 0;
 
   const auto finish = [&](int status, std::string_view reason,
-                          std::string_view body) {
-    if (traced) {
-      auto context = obs::parse_trace_header(*trace_hdr);
-      if (context) {
-        context->hop += 1;
-        extra += "X-Prord-Trace: ";
-        extra += obs::format_trace_header(*context);
-        extra += "\r\n";
-      }
-      const std::int64_t serve_us =
-          std::max<std::int64_t>(steady_us() - t_start, cache_us);
-      extra += "X-Prord-Serve-Us: " + std::to_string(serve_us) + "\r\n";
-      extra += "X-Prord-Cache-Us: " + std::to_string(cache_us) + "\r\n";
+                          std::string_view body,
+                          std::string_view cache_header) {
+    if (!trace_hdr) {
+      render(status, reason, body, cache_header, {});
+      return;
     }
-    conn.out += format_response(status, reason, body, extra);
-    if (!req.keep_alive) conn.closing = true;
+    std::string trace_headers;
+    if (auto context = obs::parse_trace_header(*trace_hdr)) {
+      context->hop += 1;
+      trace_headers.append("X-Prord-Trace: ")
+          .append(obs::format_trace_header(*context))
+          .append("\r\n");
+    }
+    const std::int64_t serve_us =
+        std::max<std::int64_t>(steady_us() - t_start, cache_us);
+    trace_headers.append("X-Prord-Serve-Us: ")
+        .append(std::to_string(serve_us))
+        .append("\r\nX-Prord-Cache-Us: ")
+        .append(std::to_string(cache_us))
+        .append("\r\n");
+    render(status, reason, body, cache_header, trace_headers);
   };
 
   const trace::FileId file = site_.lookup(req.target);
   if (file == trace::kInvalidFile) {
     stats_.not_found.fetch_add(1, std::memory_order_relaxed);
-    finish(404, "Not Found", "missing\n");
+    finish(404, "Not Found", "missing\n", {});
     return;
   }
 
@@ -252,55 +282,35 @@ void BackendWorker::serve_request(Conn& conn, const HttpRequest& req) {
     stats_.dynamic_served.fetch_add(1, std::memory_order_relaxed);
     const std::string body = site_.make_payload(file);
     stats_.bytes_out.fetch_add(body.size(), std::memory_order_relaxed);
-    extra += "X-Cache: DYN\r\n";
-    finish(200, "OK", body);
+    finish(200, "OK", body, kCacheDyn);
     return;
   }
 
   const std::int64_t t_cache = traced ? steady_us() : 0;
   std::shared_ptr<const std::string> payload = cache_get(file);
+  std::string_view cache_header = kCacheHit;
   if (payload) {
     stats_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-    extra += "X-Cache: HIT\r\n";
   } else {
     stats_.cache_misses.fetch_add(1, std::memory_order_relaxed);
     payload =
         std::make_shared<const std::string>(site_.make_payload(file));
     cache_put(file, payload);
-    extra += "X-Cache: MISS\r\n";
+    cache_header = kCacheMiss;
   }
   if (traced) cache_us = steady_us() - t_cache;
   stats_.bytes_out.fetch_add(payload->size(), std::memory_order_relaxed);
-  finish(200, "OK", *payload);
+  finish(200, "OK", *payload, cache_header);
 }
 
 bool BackendWorker::flush(Conn& conn) {
-  while (conn.out_off < conn.out.size()) {
-    const ssize_t n =
-        ::send(conn.fd.get(), conn.out.data() + conn.out_off,
-               conn.out.size() - conn.out_off, MSG_NOSIGNAL);
-    if (n > 0) {
-      conn.out_off += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      // Kernel buffer full: watch for writability until drained.
-      if (!conn.want_write) {
-        conn.want_write = true;
-        loop_.mod(conn.fd.get(), EPOLLIN | EPOLLOUT, conn.key);
-      }
-      return true;
-    }
-    if (errno == EINTR) continue;
-    return false;
-  }
-  if (conn.out_off == conn.out.size() && conn.out_off > 0) {
-    conn.out.clear();
-    conn.out_off = 0;
-  }
-  if (conn.want_write) {
-    conn.want_write = false;
-    loop_.mod(conn.fd.get(), EPOLLIN, conn.key);
+  if (!conn.out.flush(conn.fd.get())) return false;
+  // Kernel buffer full: watch for writability until drained.
+  const bool want_write = !conn.out.empty();
+  if (want_write != conn.want_write) {
+    conn.want_write = want_write;
+    loop_.mod(conn.fd.get(), want_write ? EPOLLIN | EPOLLOUT : EPOLLIN,
+              conn.key);
   }
   return true;
 }

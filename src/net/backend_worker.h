@@ -80,8 +80,7 @@ class BackendWorker {
     Fd fd;
     std::uint64_t key = 0;  ///< epoll registration key
     RequestParser parser;
-    std::string out;
-    std::size_t out_off = 0;
+    OutQueue out;  ///< responses, rendered in place
     bool closing = false;     ///< flush out, then close
     bool want_write = false;  ///< EPOLLOUT currently armed
   };
@@ -95,6 +94,7 @@ class BackendWorker {
                  std::shared_ptr<const std::string> payload);
 
   const std::uint32_t id_;
+  const std::string backend_header_;  ///< "X-Backend: <id>\r\n"
   const SiteStore& site_;
   const std::uint64_t capacity_;
 

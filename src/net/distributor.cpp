@@ -35,26 +35,21 @@ constexpr std::string_view kMetricsContentType =
 constexpr std::string_view kJsonContentType =
     "Content-Type: application/json\r\n";
 
-std::string relay_headers(const HttpResponse& resp) {
-  // Forward the worker's diagnostic headers; everything else (framing,
-  // connection management) is re-written by the distributor.
-  std::string extra;
-  for (const auto& [k, v] : resp.headers)
-    if (k.starts_with("X-")) extra += k + ": " + v + "\r\n";
-  return extra;
-}
-
 /// Non-negative integer header value; `fallback` when absent/malformed.
 std::int64_t header_i64(const HttpResponse& resp, std::string_view name,
                         std::int64_t fallback) {
-  const std::string* v = resp.header(name);
-  if (v == nullptr) return fallback;
+  const std::optional<std::string_view> v = resp.header(name);
+  if (!v) return fallback;
   std::int64_t out = 0;
-  const auto [p, ec] =
-      std::from_chars(v->data(), v->data() + v->size(), out);
+  const auto [p, ec] = std::from_chars(v->data(), v->data() + v->size(), out);
   if (ec != std::errc{} || p != v->data() + v->size() || out < 0)
     return fallback;
   return out;
+}
+
+bool is_cache_hit(const HttpResponse& resp) {
+  const std::optional<std::string_view> cache = resp.header("X-Cache");
+  return cache && *cache == "HIT";
 }
 
 }  // namespace
@@ -108,6 +103,7 @@ bool Distributor::start() {
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     Upstream up;
     up.worker = static_cast<std::uint32_t>(i);
+    up.host = "backend" + std::to_string(i);
     up.fd = connect_loopback(workers_[i]->port());
     if (!up.fd || !set_nonblocking(up.fd.get())) return false;
     if (!loop_.add(up.fd.get(), EPOLLIN, 1 + i)) return false;
@@ -204,12 +200,7 @@ void Distributor::run() {
       if (!dead && (ev.events & EPOLLIN)) handle_client_readable(conn);
       if (!dead && (ev.events & (EPOLLIN | EPOLLOUT)))
         dead = !flush_client(conn);
-      if (!dead && conn.parser.failed() && conn.out.empty()) dead = true;
-      // A closing connection lingers until every routed request answered
-      // and flushed (otherwise closed-loop clients would hang).
-      if (!dead && conn.closing && conn.done.empty() &&
-          conn.next_flush == conn.next_seq && conn.out.empty())
-        dead = true;
+      if (!dead && drained(conn)) dead = true;
       if (dead) drop_client(key);
     }
   }
@@ -293,12 +284,18 @@ void Distributor::handle_client_readable(ClientConn& conn) {
   while (true) {
     const ssize_t n = ::recv(conn.fd.get(), buf, sizeof(buf), 0);
     if (n > 0) {
-      if (!conn.parser.consume(
+      // After a parse error the rest of the stream is discarded; the
+      // requests parsed before it are still answered.
+      if (!conn.parser.failed() &&
+          !conn.parser.consume(
               std::string_view(buf, static_cast<std::size_t>(n)))) {
         counters_.parse_errors.fetch_add(1, std::memory_order_relaxed);
         conn.closing = true;
       }
       while (auto req = conn.parser.pop()) handle_request(conn, *req);
+      // A short read drained the socket; level-triggered epoll reports
+      // anything that arrives later, so skip the recv that would EAGAIN.
+      if (static_cast<std::size_t>(n) < sizeof(buf)) return;
       continue;
     }
     if (n == 0) {
@@ -374,50 +371,44 @@ void Distributor::handle_request(ClientConn& conn, const HttpRequest& req) {
   obs::flight_record(obs::FlightEventType::kRouteDecision,
                      routed.decision.server, file, req_index);
 
-  Pending p;
+  Pending& p = up.pending.push_back();
   p.client_key = conn.key;
   p.seq = seq;
   p.request = r;
   p.t_in_us = now_us;
   std::string extra_headers;
   if (trace_sampler_.enabled() && trace_sampler_.sampled(req_index)) {
-    auto span = std::make_unique<obs::LiveSpan>();
-    span->id = obs::derive_trace_id(obs_.trace_seed, req_index);
-    span->request = req_index;
-    span->shard = shard_.shard_id;
-    span->conn = conn.conn_id;
-    span->file = file;
-    span->bytes = r.bytes;
-    span->server = routed.decision.server;
-    span->via = routed.decision.via;
-    span->arrival = conn.read_enter_us;
+    obs::LiveSpan& span = p.trace.emplace();
+    span.id = obs::derive_trace_id(obs_.trace_seed, req_index);
+    span.request = req_index;
+    span.shard = shard_.shard_id;
+    span.conn = conn.conn_id;
+    span.file = file;
+    span.bytes = r.bytes;
+    span.server = routed.decision.server;
+    span.via = routed.decision.via;
+    span.arrival = conn.read_enter_us;
     // Hop 0 originates here; the worker echoes its own timing back in
     // X-Prord-Serve-Us / X-Prord-Cache-Us response headers.
     extra_headers.append("X-Prord-Trace: ")
-        .append(obs::format_trace_header({span->id, 0}))
+        .append(obs::format_trace_header({span.id, 0}))
         .append("\r\n");
     const std::int64_t t_routed = elapsed_us();
     p.t_routed_us = t_routed;
-    span->hop_us[static_cast<unsigned>(obs::LiveHop::kParse)] =
-        std::max<std::int64_t>(0, now_us - span->arrival);
-    span->hop_us[static_cast<unsigned>(obs::LiveHop::kRoute)] =
+    span.hop_us[static_cast<unsigned>(obs::LiveHop::kParse)] =
+        std::max<std::int64_t>(0, now_us - span.arrival);
+    span.hop_us[static_cast<unsigned>(obs::LiveHop::kRoute)] =
         t_routed - now_us;
-    p.trace = std::move(span);
   } else {
     p.t_routed_us = now_us;
   }
 
-  up.pending.push_back(std::move(p));
-  up.out.push(format_request(req.target,
-                             "backend" + std::to_string(up.worker),
-                             extra_headers));
+  append_request(up.out.buffer(), req.target, up.host, extra_headers);
   router_.on_forwarded(r, routed.decision.server);
   const bool ok = flush_upstream(up);
-  // Stamp the kernel-handoff time on the request just queued (it is the
-  // deque's back unless fail_upstream already swept the deque).
-  if (!up.pending.empty() && up.pending.back().seq == seq &&
-      up.pending.back().client_key == conn.key)
-    up.pending.back().t_sent_us = elapsed_us();
+  // Kernel-handoff stamp for the span (`p` is still the ring's newest
+  // slot: nothing between push_back() and here touches the ring).
+  if (p.trace) p.t_sent_us = elapsed_us();
   if (!ok) {
     fail_upstream(up);
     return;
@@ -471,15 +462,13 @@ void Distributor::issue_prefetch(std::uint32_t server, trace::FileId file,
   // resident file would only burn a loopback round trip.
   if (router_.cluster().backend(server).caches(file)) return;
 
-  Pending p;
+  Pending& p = up.pending.push_back();
   p.prefetch = true;
   p.request.file = file;
   p.request.conn = 0;
   p.t_in_us = now_us;
   p.t_routed_us = now_us;
-  up.pending.push_back(std::move(p));
-  up.out.push(format_request(url, "backend" + std::to_string(up.worker),
-                             kPrefetchHeader));
+  append_request(up.out.buffer(), url, up.host, kPrefetchHeader);
   counters_.prefetch_issued.fetch_add(1, std::memory_order_relaxed);
   prefetch_inflight_.emplace(file, server);
   obs::flight_record(obs::FlightEventType::kPrefetchIssue, server, file,
@@ -490,42 +479,69 @@ void Distributor::issue_prefetch(std::uint32_t server, trace::FileId file,
 void Distributor::local_reply(ClientConn& conn, std::uint64_t seq, int status,
                               std::string_view reason, std::string_view body,
                               std::string_view extra_headers) {
-  DoneEntry entry;
-  entry.bytes = format_response(status, reason, body, extra_headers);
-  entry.t_done_us = elapsed_us();
-  finish_response(conn, seq, std::move(entry));
+  deliver(conn, seq, format_response(status, reason, body, extra_headers),
+          /*t_ready_us=*/0, std::nullopt);
 }
 
-void Distributor::finish_response(ClientConn& conn, std::uint64_t seq,
-                                  DoneEntry entry) {
-  conn.done.emplace(seq, std::move(entry));
-  pump_client(conn);
-}
-
-void Distributor::pump_client(ClientConn& conn) {
-  while (!conn.done.empty() &&
-         conn.done.begin()->first == conn.next_flush) {
-    DoneEntry& entry = conn.done.begin()->second;
-    conn.out.push(std::move(entry.bytes));
-    if (entry.trace) {
-      // Last hop: how long the response sat behind earlier sequence
-      // numbers. completion - arrival now equals the hop sum exactly.
-      const std::int64_t t_out = elapsed_us();
-      entry.trace->hop_us[static_cast<unsigned>(obs::LiveHop::kReorderHold)] =
-          std::max<std::int64_t>(0, t_out - entry.t_done_us);
-      entry.trace->completion =
-          entry.trace->arrival + entry.trace->hop_sum();
-      complete_span(std::move(entry.trace));
-    }
-    conn.done.erase(conn.done.begin());
-    ++conn.next_flush;
+void Distributor::deliver(ClientConn& conn, std::uint64_t seq,
+                          std::string_view bytes, std::int64_t t_ready_us,
+                          std::optional<obs::LiveSpan> trace) {
+  if (seq != conn.done.head()) {
+    // An earlier request of this connection is still upstream: park a
+    // copy (the view dies at the parser's next consume()).
+    DoneEntry& entry = conn.done.slot(seq).emplace();
+    entry.bytes.assign(bytes);
+    entry.trace = std::move(trace);
+    if (entry.trace) entry.t_done_us = stamp_relay(*entry.trace, t_ready_us);
+    return;
+  }
+  conn.out.push(bytes);
+  if (trace) close_span(*trace, stamp_relay(*trace, t_ready_us));
+  conn.done.pop_front();
+  while (!conn.done.empty()) {
+    std::optional<DoneEntry>& parked = conn.done.front();
+    if (!parked) break;  // the next response is still upstream
+    conn.out.push(parked->bytes);
+    if (parked->trace) close_span(*parked->trace, parked->t_done_us);
+    conn.done.pop_front();
   }
   flush_client(conn);
+  // A closing connection that just answered its last request needs one
+  // more loop visit for run() to reap it; this may run inside the
+  // connection's own read handler, so it must not be dropped here. An
+  // armed EPOLLOUT fires on the next wait.
+  if (drained(conn) && !conn.want_write) {
+    conn.want_write = true;
+    loop_.mod(conn.fd.get(), EPOLLIN | EPOLLOUT, conn.key);
+  }
+}
+
+std::int64_t Distributor::stamp_relay(obs::LiveSpan& span,
+                                      std::int64_t t_ready_us) const {
+  const std::int64_t now = elapsed_us();
+  span.hop_us[static_cast<unsigned>(obs::LiveHop::kRelay)] =
+      std::max<std::int64_t>(0, now - t_ready_us);
+  return now;
+}
+
+void Distributor::close_span(obs::LiveSpan& span, std::int64_t t_done_us) {
+  // Last hop: how long the response sat behind earlier sequence numbers.
+  // completion - arrival now equals the hop sum exactly.
+  const std::int64_t t_out = elapsed_us();
+  span.hop_us[static_cast<unsigned>(obs::LiveHop::kReorderHold)] =
+      std::max<std::int64_t>(0, t_out - t_done_us);
+  span.completion = span.arrival + span.hop_sum();
+  if (spans_.size() >= obs_.max_spans) {
+    counters_.trace_dropped.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  spans_.push_back(span);
+  counters_.trace_spans.fetch_add(1, std::memory_order_relaxed);
 }
 
 bool Distributor::flush_client(ClientConn& conn) {
-  // One vectored sendmsg flushes every queued response (up to the iovec
-  // cap) — a pipelined burst costs one syscall, not one per response.
+  // One send flushes every queued response — a pipelined burst costs one
+  // syscall, not one per response.
   if (!conn.out.flush(conn.fd.get()))
     return false;  // peer is gone; EPOLLHUP will reap the connection
   if (!conn.out.empty()) {
@@ -538,6 +554,10 @@ bool Distributor::flush_client(ClientConn& conn) {
     loop_.mod(conn.fd.get(), EPOLLIN, conn.key);
   }
   return true;
+}
+
+bool Distributor::drained(const ClientConn& conn) {
+  return conn.closing && conn.done.head() == conn.next_seq && conn.out.empty();
 }
 
 void Distributor::drop_client(std::uint64_t key) {
@@ -583,23 +603,18 @@ void Distributor::handle_upstream_readable(Upstream& up) {
         slo_record(t_resp, t_resp - p.t_in_us, resp->status < 500);
         // Prefetch-hit attribution: a client request answered from cache
         // on a file this distributor warmed counts once, then re-arms.
-        if (!prefetch_ready_.empty()) {
-          const std::string* cache = resp->header("X-Cache");
-          if (cache != nullptr && *cache == "HIT" &&
-              prefetch_ready_.erase(p.request.file) > 0)
-            counters_.prefetch_hits.fetch_add(1, std::memory_order_relaxed);
-        }
+        if (!prefetch_ready_.empty() && is_cache_hit(*resp) &&
+            prefetch_ready_.erase(p.request.file) > 0)
+          counters_.prefetch_hits.fetch_add(1, std::memory_order_relaxed);
         auto cit = clients_.find(p.client_key);
         if (cit == clients_.end()) continue;  // client left mid-flight
-        DoneEntry entry;
-        entry.bytes = format_response(resp->status, resp->reason, resp->body,
-                                      relay_headers(*resp));
-        entry.t_done_us = elapsed_us();
+        std::int64_t t_ready = t_resp;
         if (p.trace) {
           // Split distributor-measured wire+queue time from the worker's
           // self-reported handling time. The three segments are clamped
           // to partition [t_sent, t_resp] so the hops keep telescoping
           // even if the worker's clock reads slightly long.
+          const std::int64_t t_span = elapsed_us();
           obs::LiveSpan& span = *p.trace;
           const std::int64_t t_sent =
               p.t_sent_us > 0 ? p.t_sent_us : p.t_routed_us;
@@ -617,15 +632,17 @@ void Distributor::handle_upstream_readable(Upstream& up) {
               cache_us;
           span.hop_us[static_cast<unsigned>(obs::LiveHop::kBackendServe)] =
               serve_us - cache_us;
-          span.hop_us[static_cast<unsigned>(obs::LiveHop::kRelay)] =
-              std::max<std::int64_t>(0, entry.t_done_us - t_resp);
           span.status = resp->status;
-          const std::string* cache = resp->header("X-Cache");
-          span.cache_resident = cache != nullptr && *cache == "HIT";
-          entry.trace = std::move(p.trace);
+          span.cache_resident = is_cache_hit(*resp);
+          // Reading the worker's timing headers is the span's own cost,
+          // not relay work: the relay hop leaves it out.
+          t_ready += elapsed_us() - t_span;
         }
-        finish_response(cit->second, p.seq, std::move(entry));
+        // Verbatim relay: the worker framed the response exactly as the
+        // client gets it (docs/LIVE_CLUSTER.md).
+        deliver(cit->second, p.seq, resp->raw, t_ready, std::move(p.trace));
       }
+      if (static_cast<std::size_t>(n) < sizeof(buf)) return;  // drained
       continue;
     }
     if (n == 0) {
@@ -663,9 +680,8 @@ void Distributor::fail_upstream(Upstream& up) {
   router_.cluster().backend(up.worker).set_marked_down(true);
   obs::flight_record(obs::FlightEventType::kUpstreamFail, up.worker,
                      static_cast<std::uint32_t>(up.pending.size()));
-  auto pending = std::move(up.pending);
-  up.pending.clear();
-  for (Pending& p : pending) {
+  for (; !up.pending.empty(); up.pending.pop_front()) {
+    Pending& p = up.pending.front();
     if (p.prefetch) {
       // Lost cache-warming request: forget it so another worker may be
       // asked later. No client failure, no SLO sample — there is no
@@ -705,15 +721,6 @@ void Distributor::slo_tick(std::int64_t now_us) {
       static_cast<std::uint32_t>(std::min(
           eval.long_window.burn_rate * 1000.0, 4.0e9)));
   flight_dump(now_us, "slo", /*force=*/false);
-}
-
-void Distributor::complete_span(std::unique_ptr<obs::LiveSpan> span) {
-  if (spans_.size() >= obs_.max_spans) {
-    counters_.trace_dropped.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  spans_.push_back(*span);
-  counters_.trace_spans.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Distributor::flight_dump(std::int64_t now_us, const char* reason,

@@ -10,9 +10,9 @@
 // LiveRouter's belief model — the same policy objects and decision-commit
 // path the simulator runs) and forwarded to the chosen BackendWorker over
 // that worker's one persistent upstream connection. Responses relay back
-// on the client connection in request order (per-connection reordering
-// buffer, since consecutive requests of one client may hit different
-// workers).
+// verbatim — the worker's bytes are the client's bytes — on the client
+// connection in request order (a per-connection reorder ring, since
+// consecutive requests of one client may hit different workers).
 //
 // The distributor also serves GET /metrics itself (Prometheus text
 // snapshot assembled by a caller-provided closure, wired by LiveCluster
@@ -33,11 +33,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -47,6 +46,7 @@
 #include "net/backend_worker.h"
 #include "net/http.h"
 #include "net/live_router.h"
+#include "net/seq_ring.h"
 #include "net/site_store.h"
 #include "net/socket.h"
 #include "obs/slo_monitor.h"
@@ -195,11 +195,13 @@ class Distributor {
   }
 
  private:
-  /// A finished response parked in the reorder buffer.
+  /// A finished response parked in the reorder ring: an owned copy,
+  /// made only when an earlier request of the connection is still
+  /// upstream.
   struct DoneEntry {
     std::string bytes;
-    std::int64_t t_done_us = 0;  ///< when the response bytes were built
-    std::unique_ptr<obs::LiveSpan> trace;  ///< null unless sampled
+    std::int64_t t_done_us = 0;  ///< relay hop end (the copy was made)
+    std::optional<obs::LiveSpan> trace;  ///< set only when sampled
   };
 
   struct ClientConn {
@@ -207,16 +209,17 @@ class Distributor {
     std::uint64_t key = 0;
     std::uint32_t conn_id = 0;  ///< RoutingCore connection id
     RequestParser parser;
-    OutQueue out;  ///< responses, flushed with vectored sendmsg
+    OutQueue out;  ///< responses, flushed with one send per burst
     bool closing = false;
     bool want_write = false;
     /// When the current readable burst started (live-span arrival stamp).
     std::int64_t read_enter_us = 0;
-    // In-order response relay: requests get ascending sequence numbers;
-    // finished responses wait in `done` until every earlier one flushed.
+    // In-order response relay: requests get ascending sequence numbers.
+    // done.head() is the next sequence number to relay; a response that
+    // arrives ahead of it waits in its slot until every earlier one went
+    // out.
     std::uint64_t next_seq = 0;
-    std::uint64_t next_flush = 0;
-    std::map<std::uint64_t, DoneEntry> done;
+    SeqRing<std::optional<DoneEntry>> done;
     /// Recent main pages (prediction context; newest last).
     std::vector<trace::FileId> history;
   };
@@ -230,7 +233,7 @@ class Distributor {
     std::int64_t t_in_us = 0;      ///< parsed (SLO latency starts here)
     std::int64_t t_routed_us = 0;  ///< routing decision committed
     std::int64_t t_sent_us = 0;    ///< forwarded bytes handed to the kernel
-    std::unique_ptr<obs::LiveSpan> trace;  ///< null unless sampled
+    std::optional<obs::LiveSpan> trace;  ///< set only when sampled
     /// Distributor-generated cache-warming request: its response is
     /// swallowed here and it is excluded from every client-facing account
     /// (conservation, SLO, router belief, failure replies).
@@ -240,10 +243,11 @@ class Distributor {
   struct Upstream {
     Fd fd;
     std::uint32_t worker = 0;
+    std::string host;  ///< Host header value, rendered once at start()
     ResponseParser parser;
-    OutQueue out;  ///< forwarded requests, flushed with vectored sendmsg
+    OutQueue out;  ///< forwarded requests, rendered in place
     bool want_write = false;
-    std::deque<Pending> pending;
+    SeqRing<Pending> pending;  ///< FIFO of forwards awaiting a response
   };
 
   void run();
@@ -257,9 +261,20 @@ class Distributor {
   void local_reply(ClientConn& conn, std::uint64_t seq, int status,
                    std::string_view reason, std::string_view body,
                    std::string_view extra_headers = {});
-  void finish_response(ClientConn& conn, std::uint64_t seq, DoneEntry entry);
-  void pump_client(ClientConn& conn);
+  /// Relays one finished response that became ready at `t_ready_us`:
+  /// seq == done.head() goes straight into the out buffer (then any
+  /// parked successors); a later seq parks an owned copy of `bytes`.
+  void deliver(ClientConn& conn, std::uint64_t seq, std::string_view bytes,
+               std::int64_t t_ready_us, std::optional<obs::LiveSpan> trace);
+  /// Ends the relay hop (ready -> bytes in place) now; returns now.
+  std::int64_t stamp_relay(obs::LiveSpan& span, std::int64_t t_ready_us) const;
   bool flush_client(ClientConn& conn);
+  /// A closing connection — peer EOF, Connection: close or a parse error
+  /// — lingers until every request parsed before that point is answered
+  /// and flushed (otherwise closed-loop clients would hang, and requests
+  /// pipelined ahead of a malformed one would lose their responses).
+  /// True once it may go.
+  static bool drained(const ClientConn& conn);
   void drop_client(std::uint64_t key);
 
   void handle_upstream_readable(Upstream& up);
@@ -279,7 +294,9 @@ class Distributor {
   /// burn-rate evaluation moving (eval once per slice).
   void slo_record(std::int64_t now_us, std::int64_t latency_us, bool success);
   void slo_tick(std::int64_t now_us);
-  void complete_span(std::unique_ptr<obs::LiveSpan> span);
+  /// Ends the reorder-hold hop (its bytes just entered the out buffer)
+  /// and keeps the span.
+  void close_span(obs::LiveSpan& span, std::int64_t t_done_us);
   /// Dumps the flight recorder if a path is configured; automatic reasons
   /// honor the cooldown, `force` (SIGUSR2) does not.
   void flight_dump(std::int64_t now_us, const char* reason, bool force);

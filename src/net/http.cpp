@@ -7,6 +7,10 @@
 namespace prord::net {
 namespace {
 
+/// A drained parser buffer above this capacity gives its storage back
+/// (one huge response must not pin its size for the connection's life).
+constexpr std::size_t kRetainBytes = 256 * 1024;
+
 bool iequals(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i)
@@ -24,43 +28,57 @@ std::string_view trim(std::string_view s) {
   return s;
 }
 
-const std::string* find_header(
-    const std::vector<std::pair<std::string, std::string>>& headers,
-    std::string_view name) {
-  for (const auto& [k, v] : headers)
-    if (iequals(k, name)) return &v;
-  return nullptr;
+enum class Line { kEnd, kHeader, kMalformed };
+
+/// Cuts the next "Name: value" line off the front of `block`.
+Line next_header(std::string_view& block, std::string_view& name,
+                 std::string_view& value) {
+  if (block.empty()) return Line::kEnd;
+  const std::size_t eol = block.find("\r\n");
+  const std::string_view line = block.substr(0, eol);
+  block = eol == std::string_view::npos ? std::string_view{}
+                                        : block.substr(eol + 2);
+  const std::size_t colon = line.find(':');
+  if (colon == std::string_view::npos || colon == 0) return Line::kMalformed;
+  name = trim(line.substr(0, colon));
+  value = trim(line.substr(colon + 1));
+  return Line::kHeader;
 }
 
-/// Parses "Name: value" lines between `begin` and the blank line; returns
-/// false on a malformed line.
-bool parse_header_lines(
-    std::string_view block,
-    std::vector<std::pair<std::string, std::string>>& out) {
-  std::size_t pos = 0;
-  while (pos < block.size()) {
-    const std::size_t eol = block.find("\r\n", pos);
-    const std::string_view line =
-        block.substr(pos, eol == std::string_view::npos ? std::string_view::npos
-                                                        : eol - pos);
-    if (line.empty()) break;
-    const std::size_t colon = line.find(':');
-    if (colon == std::string_view::npos || colon == 0) return false;
-    out.emplace_back(std::string(trim(line.substr(0, colon))),
-                     std::string(trim(line.substr(colon + 1))));
-    if (eol == std::string_view::npos) break;
-    pos = eol + 2;
+std::optional<std::string_view> find_header(std::string_view block,
+                                            std::string_view name) {
+  std::string_view k, v;
+  for (Line l = next_header(block, k, v); l != Line::kEnd;
+       l = next_header(block, k, v))
+    if (l == Line::kHeader && iequals(k, name)) return v;
+  return std::nullopt;
+}
+
+/// The two headers framing depends on, picked out while validating.
+struct Framing {
+  std::optional<std::string_view> content_length;
+  std::optional<std::string_view> connection;
+};
+
+/// Validates every header line of `block`; false on a malformed one.
+bool scan_headers(std::string_view block, Framing& out) {
+  std::string_view k, v;
+  for (Line l = next_header(block, k, v); l != Line::kEnd;
+       l = next_header(block, k, v)) {
+    if (l == Line::kMalformed) return false;
+    if (!out.content_length && iequals(k, "Content-Length"))
+      out.content_length = v;
+    else if (!out.connection && iequals(k, "Connection"))
+      out.connection = v;
   }
   return true;
 }
 
 /// HTTP/1.1 defaults to persistent; "Connection: close" opts out.
-bool wants_keep_alive(
-    const std::vector<std::pair<std::string, std::string>>& headers,
-    std::string_view version) {
-  if (const std::string* c = find_header(headers, "Connection")) {
-    if (iequals(*c, "close")) return false;
-    if (iequals(*c, "keep-alive")) return true;
+bool wants_keep_alive(const Framing& framing, std::string_view version) {
+  if (framing.connection) {
+    if (iequals(*framing.connection, "close")) return false;
+    if (iequals(*framing.connection, "keep-alive")) return true;
   }
   return version == "HTTP/1.1";
 }
@@ -76,49 +94,90 @@ bool valid_method(std::string_view m) {
                      [](char c) { return c >= 'A' && c <= 'Z'; });
 }
 
+/// `part` as a Slice relative to `base` (part must lie inside base's
+/// buffer, at or after base.data()).
+detail::Slice slice_of(std::string_view base, std::string_view part) {
+  return {static_cast<std::size_t>(part.data() - base.data()), part.size()};
+}
+
+std::string_view at(const std::string& buf, std::size_t start,
+                    detail::Slice s) {
+  return std::string_view(buf).substr(start + s.off, s.len);
+}
+
+void append_number(std::string& out, std::uint64_t v) {
+  char digits[20];
+  const auto [end, ec] = std::to_chars(digits, digits + sizeof(digits), v);
+  out.append(digits, static_cast<std::size_t>(end - digits));
+}
+
 }  // namespace
 
-const std::string* HttpRequest::header(std::string_view name) const {
+std::optional<std::string_view> HttpRequest::header(
+    std::string_view name) const {
   return find_header(headers, name);
 }
 
-const std::string* HttpResponse::header(std::string_view name) const {
+std::optional<std::string_view> HttpResponse::header(
+    std::string_view name) const {
   return find_header(headers, name);
 }
 
-void RequestParser::fail(std::string what) {
+namespace detail {
+
+std::size_t ParseBuffer::compact_and_append(std::size_t keep,
+                                            std::string_view data) {
+  if (keep == buf_.size() && buf_.capacity() > kRetainBytes)
+    std::string().swap(buf_);
+  else
+    buf_.erase(0, keep);  // keep == size() is a plain clear()
+  off_ -= keep;
+  buf_.append(data);
+  return keep;
+}
+
+void ParseBuffer::fail(std::string what) {
   failed_ = true;
   error_ = std::move(what);
 }
 
+}  // namespace detail
+
 bool RequestParser::consume(std::string_view data) {
   if (failed_) return false;
-  buf_.append(data);
-  while (parse_some()) {
+  const std::size_t keep =
+      next_ < ready_.size() ? ready_[next_].start : off_;
+  ready_.erase(ready_.begin(),
+               ready_.begin() + static_cast<std::ptrdiff_t>(next_));
+  next_ = 0;
+  const std::size_t shift = compact_and_append(keep, data);
+  for (Parsed& p : ready_) p.start -= shift;
+  while (parse_one()) {
   }
   return !failed_;
 }
 
-/// One step: discard pending body bytes or cut one complete head off the
-/// buffer. Returns true when progress was made and more may follow.
-bool RequestParser::parse_some() {
+/// One step: discard pending body bytes or parse one complete head past
+/// the read offset. Returns true when progress was made and more may
+/// follow.
+bool RequestParser::parse_one() {
   if (failed_) return false;
   if (body_skip_ > 0) {
-    const std::size_t n = std::min(body_skip_, buf_.size());
-    buf_.erase(0, n);
+    const std::size_t n = std::min(body_skip_, buf_.size() - off_);
+    off_ += n;
     body_skip_ -= n;
     if (body_skip_ > 0) return false;
   }
-  const std::size_t head_end = buf_.find("\r\n\r\n");
-  if (head_end == std::string::npos) {
-    if (buf_.size() > kMaxHeaderBytes) fail("header block too large");
+  const std::string_view msg = std::string_view(buf_).substr(off_);
+  const std::size_t head_end = msg.find("\r\n\r\n");
+  if (head_end == std::string_view::npos) {
+    if (msg.size() > kMaxHeaderBytes) fail("header block too large");
     return false;
   }
-  const std::string_view head(buf_.data(), head_end);
+  const std::string_view head = msg.substr(0, head_end);
 
   const std::size_t line_end = head.find("\r\n");
-  const std::string_view request_line =
-      head.substr(0, std::min(line_end, head.size()));
+  const std::string_view request_line = head.substr(0, line_end);
   const std::size_t sp1 = request_line.find(' ');
   const std::size_t sp2 =
       sp1 == std::string_view::npos ? sp1 : request_line.find(' ', sp1 + 1);
@@ -126,77 +185,84 @@ bool RequestParser::parse_some() {
     fail("malformed request line");
     return false;
   }
-  HttpRequest req;
-  req.method = std::string(request_line.substr(0, sp1));
-  req.target = std::string(request_line.substr(sp1 + 1, sp2 - sp1 - 1));
-  req.version = std::string(trim(request_line.substr(sp2 + 1)));
-  if (!valid_method(req.method) || req.target.empty() ||
-      !req.version.starts_with("HTTP/")) {
+  const std::string_view method = request_line.substr(0, sp1);
+  const std::string_view target = request_line.substr(sp1 + 1, sp2 - sp1 - 1);
+  const std::string_view version = trim(request_line.substr(sp2 + 1));
+  if (!valid_method(method) || target.empty() ||
+      !version.starts_with("HTTP/")) {
     fail("malformed request line");
     return false;
   }
-  if (line_end != std::string_view::npos &&
-      !parse_header_lines(head.substr(line_end + 2), req.headers)) {
+  const std::string_view headers = line_end == std::string_view::npos
+                                       ? head.substr(head.size())
+                                       : head.substr(line_end + 2);
+  Framing framing;
+  if (!scan_headers(headers, framing)) {
     fail("malformed header line");
     return false;
   }
-  req.keep_alive = wants_keep_alive(req.headers, req.version);
-
-  if (const std::string* cl = req.header("Content-Length")) {
+  if (framing.content_length) {
     std::size_t n = 0;
-    if (!parse_size(*cl, n) || n > kMaxBodyBytes) {
+    if (!parse_size(*framing.content_length, n) || n > kMaxBodyBytes) {
       fail("bad Content-Length");
       return false;
     }
     body_skip_ = n;  // tolerated but discarded: the cluster serves GETs
   }
-  buf_.erase(0, head_end + 4);
-  ready_.push_back(std::move(req));
+  ready_.push_back({off_, slice_of(msg, method), slice_of(msg, target),
+                    slice_of(msg, version), slice_of(msg, headers),
+                    wants_keep_alive(framing, version)});
+  off_ += head_end + 4;
   return true;
 }
 
 std::optional<HttpRequest> RequestParser::pop() {
-  if (ready_.empty()) return std::nullopt;
-  HttpRequest req = std::move(ready_.front());
-  ready_.pop_front();
+  if (next_ == ready_.size()) return std::nullopt;
+  const Parsed& p = ready_[next_++];
+  HttpRequest req;
+  req.method = at(buf_, p.start, p.method);
+  req.target = at(buf_, p.start, p.target);
+  req.version = at(buf_, p.start, p.version);
+  req.headers = at(buf_, p.start, p.headers);
+  req.keep_alive = p.keep_alive;
   return req;
-}
-
-void ResponseParser::fail(std::string what) {
-  failed_ = true;
-  error_ = std::move(what);
 }
 
 bool ResponseParser::consume(std::string_view data) {
   if (failed_) return false;
-  buf_.append(data);
-  while (parse_some()) {
+  // A partial message starts at the read offset, so off_ covers it.
+  const std::size_t keep =
+      next_ < ready_.size() ? ready_[next_].start : off_;
+  ready_.erase(ready_.begin(),
+               ready_.begin() + static_cast<std::ptrdiff_t>(next_));
+  next_ = 0;
+  const std::size_t shift = compact_and_append(keep, data);
+  for (Parsed& p : ready_) p.start -= shift;
+  if (partial_) partial_->start -= shift;
+  while (parse_one()) {
   }
   return !failed_;
 }
 
-bool ResponseParser::parse_some() {
+bool ResponseParser::parse_one() {
   if (failed_) return false;
   if (partial_) {
-    const std::size_t take = std::min(body_needed_, buf_.size());
-    partial_->body.append(buf_, 0, take);
-    buf_.erase(0, take);
-    body_needed_ -= take;
-    if (body_needed_ > 0) return false;
-    ready_.push_back(std::move(*partial_));
+    if (buf_.size() - partial_->start < partial_->len) return false;
+    off_ = partial_->start + partial_->len;
+    ready_.push_back(*partial_);
     partial_.reset();
     return true;
   }
-  const std::size_t head_end = buf_.find("\r\n\r\n");
-  if (head_end == std::string::npos) {
-    if (buf_.size() > kMaxHeaderBytes) fail("header block too large");
+  const std::string_view msg = std::string_view(buf_).substr(off_);
+  const std::size_t head_end = msg.find("\r\n\r\n");
+  if (head_end == std::string_view::npos) {
+    if (msg.size() > kMaxHeaderBytes) fail("header block too large");
     return false;
   }
-  const std::string_view head(buf_.data(), head_end);
+  const std::string_view head = msg.substr(0, head_end);
 
   const std::size_t line_end = head.find("\r\n");
-  const std::string_view status_line =
-      head.substr(0, std::min(line_end, head.size()));
+  const std::string_view status_line = head.substr(0, line_end);
   if (!status_line.starts_with("HTTP/")) {
     fail("malformed status line");
     return false;
@@ -206,7 +272,6 @@ bool ResponseParser::parse_some() {
     fail("malformed status line");
     return false;
   }
-  HttpResponse resp;
   const std::string_view code = status_line.substr(sp1 + 1, 3);
   int status = 0;
   const auto [p, ec] =
@@ -216,51 +281,77 @@ bool ResponseParser::parse_some() {
     fail("malformed status code");
     return false;
   }
-  resp.status = status;
-  if (sp1 + 4 < status_line.size())
-    resp.reason = std::string(trim(status_line.substr(sp1 + 5)));
-
-  if (line_end != std::string_view::npos &&
-      !parse_header_lines(head.substr(line_end + 2), resp.headers)) {
+  const std::string_view reason =
+      sp1 + 4 < status_line.size() ? trim(status_line.substr(sp1 + 5))
+                                   : status_line.substr(status_line.size());
+  const std::string_view headers = line_end == std::string_view::npos
+                                       ? head.substr(head.size())
+                                       : head.substr(line_end + 2);
+  Framing framing;
+  if (!scan_headers(headers, framing)) {
     fail("malformed header line");
     return false;
   }
-  resp.keep_alive = wants_keep_alive(
-      resp.headers, std::string_view(status_line.substr(0, sp1)));
-
   std::size_t body = 0;
-  if (const std::string* cl = resp.header("Content-Length")) {
-    if (!parse_size(*cl, body) || body > kMaxBodyBytes) {
-      fail("bad Content-Length");
-      return false;
-    }
+  if (framing.content_length &&
+      (!parse_size(*framing.content_length, body) || body > kMaxBodyBytes)) {
+    fail("bad Content-Length");
+    return false;
   }
-  buf_.erase(0, head_end + 4);
-  if (body == 0) {
-    ready_.push_back(std::move(resp));
-    return true;
-  }
-  partial_ = std::move(resp);
-  partial_->body.reserve(body);
-  body_needed_ = body;
-  return true;  // body bytes may already be buffered
+  partial_ = Parsed{off_,
+                    head_end + 4 + body,
+                    status,
+                    slice_of(msg, reason),
+                    slice_of(msg, headers),
+                    wants_keep_alive(framing, status_line.substr(0, sp1))};
+  return true;  // the body may already be buffered
 }
 
 std::optional<HttpResponse> ResponseParser::pop() {
-  if (ready_.empty()) return std::nullopt;
-  HttpResponse resp = std::move(ready_.front());
-  ready_.pop_front();
+  if (next_ == ready_.size()) return std::nullopt;
+  const Parsed& p = ready_[next_++];
+  HttpResponse resp;
+  resp.status = p.status;
+  resp.reason = at(buf_, p.start, p.reason);
+  resp.headers = at(buf_, p.start, p.headers);
+  resp.raw = std::string_view(buf_).substr(p.start, p.len);
+  const std::size_t body_off = p.headers.off + p.headers.len + 4;
+  resp.body = resp.raw.substr(body_off);
+  resp.keep_alive = p.keep_alive;
   return resp;
+}
+
+void append_request(std::string& out, std::string_view target,
+                    std::string_view host, std::string_view extra_headers) {
+  out.append("GET ").append(target).append(" HTTP/1.1\r\nHost: ");
+  out.append(host).append("\r\n");
+  out.append(extra_headers);
+  out.append("\r\n");
+}
+
+void append_response_head(std::string& out, int status,
+                          std::string_view reason,
+                          std::size_t content_length) {
+  out.append("HTTP/1.1 ");
+  append_number(out, static_cast<std::uint64_t>(status));
+  out.append(" ").append(reason).append("\r\nContent-Length: ");
+  append_number(out, content_length);
+  out.append("\r\n");
+}
+
+void append_response(std::string& out, int status, std::string_view reason,
+                     std::string_view body, std::string_view extra_headers) {
+  append_response_head(out, status, reason, body.size());
+  out.append(extra_headers);
+  out.append("\r\n");
+  out.append(body);
 }
 
 std::string format_request(std::string_view target, std::string_view host,
                            std::string_view extra_headers) {
   std::string out;
   out.reserve(64 + target.size() + extra_headers.size());
-  out.append("GET ").append(target).append(" HTTP/1.1\r\nHost: ");
-  out.append(host).append("\r\n");
-  out.append(extra_headers);
-  out.append("\r\n");
+  append_request(out, target, host, extra_headers);
   return out;
 }
 
@@ -269,12 +360,7 @@ std::string format_response(int status, std::string_view reason,
                             std::string_view extra_headers) {
   std::string out;
   out.reserve(96 + extra_headers.size() + body.size());
-  out.append("HTTP/1.1 ").append(std::to_string(status)).append(" ");
-  out.append(reason).append("\r\nContent-Length: ");
-  out.append(std::to_string(body.size())).append("\r\n");
-  out.append(extra_headers);
-  out.append("\r\n");
-  out.append(body);
+  append_response(out, status, reason, body, extra_headers);
   return out;
 }
 

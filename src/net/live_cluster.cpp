@@ -243,7 +243,7 @@ std::string http_get(std::uint16_t port, std::string_view target) {
     if (r <= 0) return {};
     if (!parser.consume(std::string_view(buf, static_cast<std::size_t>(r))))
       return {};
-    if (auto resp = parser.pop()) return std::move(resp->body);
+    if (auto resp = parser.pop()) return std::string(resp->body);
   }
 }
 

@@ -5,7 +5,6 @@
 #include <netinet/tcp.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -155,42 +154,24 @@ void EpollLoop::wake() {
 }
 
 bool OutQueue::flush(int fd) {
-  while (!segments_.empty()) {
-    iovec iov[kMaxIov];
-    std::size_t n = 0;
-    std::size_t attempted = 0;
-    std::size_t off = head_off_;
-    for (const std::string& seg : segments_) {
-      if (n == kMaxIov) break;
-      iov[n].iov_base = const_cast<char*>(seg.data() + off);
-      iov[n].iov_len = seg.size() - off;
-      attempted += iov[n].iov_len;
-      ++n;
-      off = 0;
-    }
-    msghdr msg{};
-    msg.msg_iov = iov;
-    msg.msg_iovlen = n;
-    ssize_t sent;
-    do {
-      sent = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
-    } while (sent < 0 && errno == EINTR);
-    if (sent < 0) return errno == EAGAIN || errno == EWOULDBLOCK;
-    size_ -= static_cast<std::size_t>(sent);
-    auto remaining = static_cast<std::size_t>(sent);
-    while (remaining > 0) {
-      const std::size_t head_left = segments_.front().size() - head_off_;
-      if (remaining >= head_left) {
-        remaining -= head_left;
-        segments_.pop_front();
-        head_off_ = 0;
-      } else {
-        head_off_ += remaining;
-        remaining = 0;
-      }
-    }
-    // A short sendmsg means the socket buffer is full; stop until EPOLLOUT.
-    if (static_cast<std::size_t>(sent) < attempted) break;
+  if (empty()) return true;
+  ssize_t sent;
+  do {
+    sent = ::send(fd, buf_.data() + off_, buf_.size() - off_, MSG_NOSIGNAL);
+  } while (sent < 0 && errno == EINTR);
+  if (sent < 0) return errno == EAGAIN || errno == EWOULDBLOCK;
+  off_ += static_cast<std::size_t>(sent);
+  if (off_ == buf_.size()) {
+    if (buf_.capacity() > kRetainBytes)
+      std::string().swap(buf_);
+    else
+      buf_.clear();
+    off_ = 0;
+  } else if (off_ > buf_.size() / 2) {
+    // Slow reader: drop the sent prefix so appends do not grow the
+    // buffer without bound.
+    buf_.erase(0, off_);
+    off_ = 0;
   }
   return true;
 }

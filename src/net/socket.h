@@ -7,9 +7,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 
 namespace prord::net {
@@ -109,38 +109,33 @@ class EpollLoop {
   Fd wake_;
 };
 
-/// Outbound byte queue flushed with one vectored sendmsg() per round
-/// instead of one write() per buffered string. Segments keep their
-/// identity until fully sent, so enqueueing is copy-free beyond the
-/// initial move and a flush of K queued responses costs one syscall.
+/// Outbound bytes of one connection: a single buffer that renderers
+/// append to in place and that flush() hands to one send(), so a burst of
+/// K queued responses costs one syscall. The buffer keeps its capacity
+/// between bursts; once drained above kRetainBytes it gives it back.
 class OutQueue {
  public:
-  void push(std::string bytes) {
-    if (bytes.empty()) return;
-    size_ += bytes.size();
-    segments_.push_back(std::move(bytes));
-  }
+  void push(std::string_view bytes) { buf_.append(bytes); }
+  /// The tail to render into (append only; sent bytes sit before it).
+  std::string& buffer() noexcept { return buf_; }
 
-  bool empty() const noexcept { return segments_.empty(); }
-  std::size_t size() const noexcept { return size_; }
+  bool empty() const noexcept { return off_ == buf_.size(); }
 
-  /// Writes as much as the socket accepts (MSG_NOSIGNAL, up to kMaxIov
-  /// segments per sendmsg). Returns false on a fatal socket error; EAGAIN
-  /// is a successful partial flush.
+  /// Writes as much as the socket accepts with one send (MSG_NOSIGNAL).
+  /// Returns false on a fatal socket error; EAGAIN or a short write is a
+  /// successful partial flush (the socket buffer is full).
   bool flush(int fd);
 
-  void clear() {
-    segments_.clear();
-    head_off_ = 0;
-    size_ = 0;
+  void clear() noexcept {
+    buf_.clear();
+    off_ = 0;
   }
 
-  static constexpr std::size_t kMaxIov = 64;
+  static constexpr std::size_t kRetainBytes = 256 * 1024;
 
  private:
-  std::deque<std::string> segments_;
-  std::size_t head_off_ = 0;  // bytes of segments_.front() already sent
-  std::size_t size_ = 0;
+  std::string buf_;
+  std::size_t off_ = 0;  ///< bytes of buf_ already sent
 };
 
 }  // namespace prord::net

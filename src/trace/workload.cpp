@@ -10,7 +10,7 @@
 namespace prord::trace {
 
 FileId FileTable::intern(std::string_view url, std::uint32_t bytes) {
-  auto it = ids_.find(std::string(url));
+  auto it = ids_.find(url);
   if (it != ids_.end()) {
     sizes_[it->second] = std::max(sizes_[it->second], bytes);
     return it->second;
@@ -23,7 +23,7 @@ FileId FileTable::intern(std::string_view url, std::uint32_t bytes) {
 }
 
 FileId FileTable::lookup(std::string_view url) const {
-  auto it = ids_.find(std::string(url));
+  auto it = ids_.find(url);
   return it == ids_.end() ? kInvalidFile : it->second;
 }
 

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -42,7 +43,16 @@ class FileTable {
  private:
   std::vector<std::string> urls_;
   std::vector<std::uint32_t> sizes_;
-  std::unordered_map<std::string, FileId> ids_;
+  /// Transparent hashing: lookup()/intern() probe with the caller's
+  /// string_view, without building a key string. Keys stay owned strings
+  /// (a view into urls_ would dangle when the vector reallocates).
+  struct UrlHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view url) const noexcept {
+      return std::hash<std::string_view>{}(url);
+    }
+  };
+  std::unordered_map<std::string, FileId, UrlHash, std::equal_to<>> ids_;
 };
 
 /// One request as the cluster front-end sees it.

@@ -99,7 +99,11 @@ TEST(ModelSwap, ConcurrentReadersNeverObserveTornState) {
   // verify that the (epoch, model) pair is internally consistent — the
   // model of epoch k always predicts page k.
   constexpr std::uint64_t kGenerations = 200;
-  ModelSwap swap(model_predicting(1, 0));
+  // The context page lies outside every generation's tag: the predictor
+  // never proposes a page's own self-loop, so context 1 could not tag
+  // epoch 1.
+  constexpr trace::FileId kContext = 1'000'000;
+  ModelSwap swap(model_predicting(kContext, 0));
 
   std::atomic<bool> torn{false};
   std::atomic<bool> stop{false};
@@ -111,7 +115,7 @@ TEST(ModelSwap, ConcurrentReadersNeverObserveTornState) {
         return;
       }
       const auto guess = snap->model->predictor().predict(
-          std::vector<trace::FileId>{1}, 0.0);
+          std::vector<trace::FileId>{kContext}, 0.0);
       if (!guess || guess->page != snap->epoch) {
         torn = true;
         return;
@@ -120,7 +124,8 @@ TEST(ModelSwap, ConcurrentReadersNeverObserveTornState) {
   };
   std::thread r1(reader), r2(reader);
   for (std::uint64_t gen = 1; gen <= kGenerations; ++gen)
-    swap.publish(model_predicting(1, static_cast<trace::FileId>(gen)));
+    swap.publish(
+        model_predicting(kContext, static_cast<trace::FileId>(gen)));
   stop = true;
   r1.join();
   r2.join();

@@ -6,7 +6,9 @@
 
 #include <cerrno>
 #include <fstream>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/experiment.h"
@@ -85,11 +87,12 @@ TEST(LiveObs, TraceStructureIsRunStable) {
 }
 
 // Sends `wire` to 127.0.0.1:`port` on one connection and reads until
-// `expected` responses have been parsed.
-std::vector<HttpResponse> pipelined_exchange(std::uint16_t port,
-                                             const std::string& wire,
-                                             std::size_t expected) {
-  std::vector<HttpResponse> responses;
+// `expected` responses have been parsed. Returns each response's raw
+// bytes (parser views die at the next consume(), so they are copied).
+std::vector<std::string> pipelined_exchange(std::uint16_t port,
+                                            const std::string& wire,
+                                            std::size_t expected) {
+  std::vector<std::string> responses;
   Fd fd = connect_loopback(port);
   if (!fd.valid()) return responses;
   std::size_t off = 0;
@@ -110,7 +113,7 @@ std::vector<HttpResponse> pipelined_exchange(std::uint16_t port,
     if (r <= 0) return responses;
     if (!parser.consume(std::string_view(buf, static_cast<std::size_t>(r))))
       return responses;
-    while (auto resp = parser.pop()) responses.push_back(std::move(*resp));
+    while (auto resp = parser.pop()) responses.emplace_back(resp->raw);
   }
   return responses;
 }
@@ -138,28 +141,41 @@ TEST(LiveObs, MetricsFramingSurvivesPersistentConnections) {
   const std::string wire = format_request("/metrics") +
                            format_request("/metrics") +
                            format_request("/slo");
-  const std::vector<HttpResponse> responses =
+  const std::vector<std::string> responses =
       pipelined_exchange(dist.port(), wire, 3);
   ASSERT_EQ(responses.size(), 3u);
 
+  // Each collected response, re-parsed on its own: a mis-framed stream
+  // would have split or merged them above.
+  std::vector<ResponseParser> parsers(responses.size());
+  std::vector<HttpResponse> parsed;
+  for (std::size_t i = 0; i < responses.size(); ++i) {
+    ASSERT_TRUE(parsers[i].consume(responses[i])) << i;
+    auto resp = parsers[i].pop();
+    ASSERT_TRUE(resp.has_value()) << i;
+    EXPECT_EQ(resp->raw, responses[i]) << i;
+    parsed.push_back(*resp);
+  }
+
   for (int i = 0; i < 2; ++i) {
-    const HttpResponse& resp = responses[static_cast<std::size_t>(i)];
+    const HttpResponse& resp = parsed[static_cast<std::size_t>(i)];
     EXPECT_EQ(resp.status, 200) << i;
     EXPECT_TRUE(resp.keep_alive) << i;
-    const std::string* type = resp.header("Content-Type");
-    ASSERT_NE(type, nullptr) << i;
+    const std::optional<std::string_view> type = resp.header("Content-Type");
+    ASSERT_TRUE(type.has_value()) << i;
     EXPECT_EQ(*type, "text/plain; version=0.0.4; charset=utf-8") << i;
-    const std::string* length = resp.header("Content-Length");
-    ASSERT_NE(length, nullptr) << i;
-    EXPECT_EQ(std::stoul(*length), resp.body.size()) << i;
+    const std::optional<std::string_view> length =
+        resp.header("Content-Length");
+    ASSERT_TRUE(length.has_value()) << i;
+    EXPECT_EQ(std::stoul(std::string(*length)), resp.body.size()) << i;
     EXPECT_NE(resp.body.find("prord_live_requests_total"), std::string::npos)
         << i;
   }
 
-  const HttpResponse& slo = responses[2];
+  const HttpResponse& slo = parsed[2];
   EXPECT_EQ(slo.status, 200);
-  const std::string* type = slo.header("Content-Type");
-  ASSERT_NE(type, nullptr);
+  const std::optional<std::string_view> type = slo.header("Content-Type");
+  ASSERT_TRUE(type.has_value());
   EXPECT_EQ(*type, "application/json");
   const util::JsonValue doc = util::json_parse(slo.body);
   ASSERT_TRUE(doc.is_object());

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <string_view>
 
 #include "trace/generator.h"
 #include "trace/models.h"
@@ -40,6 +42,30 @@ TEST(FileTable, SizeIsMaxObserved) {
   t.intern("/a.html", 300);  // full transfer
   EXPECT_EQ(t.size_bytes(id), 300u);
   EXPECT_EQ(t.total_bytes(), 300u);
+}
+
+TEST(FileTable, ProbesWithViewsCutFromLargerBuffers) {
+  // A request target is a view into the parser's buffer: not
+  // NUL-terminated, followed by more bytes. Lookup and intern must key on
+  // exactly the view's bytes.
+  const std::string wire = "GET /a/b.html HTTP/1.1\r\n/a/b.htmlX";
+  const std::string_view target = std::string_view(wire).substr(4, 9);
+  const std::string_view overlong = std::string_view(wire).substr(24, 10);
+  ASSERT_EQ(target, "/a/b.html");
+  FileTable t;
+  EXPECT_EQ(t.lookup(target), kInvalidFile);
+  const FileId id = t.intern(target, 100);
+  EXPECT_EQ(t.url(id), "/a/b.html");
+  EXPECT_EQ(t.lookup(target), id);
+  EXPECT_EQ(t.lookup(std::string_view(wire).substr(24, 9)), id);
+  EXPECT_EQ(t.lookup(overlong), kInvalidFile);  // "/a/b.htmlX"
+  EXPECT_EQ(t.lookup(target.substr(0, 8)), kInvalidFile);
+  EXPECT_EQ(t.intern(std::string_view(wire).substr(24, 9), 300), id);
+  EXPECT_EQ(t.size_bytes(id), 300u);
+  // Growing the table (and reallocating its url vector) keeps old keys.
+  for (int i = 0; i < 100; ++i) t.intern("/grow/" + std::to_string(i), 1);
+  EXPECT_EQ(t.lookup(target), id);
+  EXPECT_EQ(t.count(), 101u);
 }
 
 TEST(IsEmbeddedUrl, ClassifiesByExtension) {
