@@ -1,6 +1,6 @@
 // bench_live_scale: shard-scaling sweep for the sharded front end.
 //
-// Runs the full loopback cluster (scale::run_live_sharded) at each
+// Runs the full loopback cluster (net::run_live) at each
 // requested shard count on one port, records wall-clock req/s and
 // latency percentiles per shard count into a BENCH_live.json perf
 // report (docs/perf_schema.json, schema v2: every scenario carries its
@@ -28,7 +28,6 @@
 
 #include "core/perf_report.h"
 #include "net/live_cluster.h"
-#include "scale/sharded_live.h"
 #include "trace/models.h"
 
 namespace {
@@ -156,7 +155,7 @@ int main(int argc, char** argv) {
     s.shards = shards;
     s.t_start_ms = core::unix_now_ms();
     const net::LiveRunResult result =
-        scale::run_live_sharded(scale_config(opts, shards));
+        net::run_live(scale_config(opts, shards));
     s.t_end_ms = core::unix_now_ms();
     if (!result.started) {
       std::fprintf(stderr, "[bench_live_scale] FAIL: %s did not start\n",

@@ -41,12 +41,13 @@
 // from client accounting; the summary reports issued/hit/wasted.
 //
 // Sharded front end (docs/SCALING.md): --shards N runs N distributor
-// shards behind one port via scale::run_live_sharded — SO_REUSEPORT when
-// the kernel has it, accept handoff otherwise (--no-reuseport forces the
+// shards behind one port (default 1, the paper's single distributor) —
+// SO_REUSEPORT when the kernel has it, accept handoff otherwise (--no-reuseport forces the
 // handoff path). --gossip-ms sets the load-gossip cadence between shard
-// beliefs; --load-threads sizes the client side (0 = one per shard). The
-// summary prints a per-shard table and the run fails if conservation
-// across shards breaks.
+// beliefs; --load-threads sizes the client side (0 = one per shard; the
+// requests and --concurrency connections are split across them). With
+// more than one shard the summary prints a per-shard table; at any shard
+// count the run fails if conservation across shards breaks.
 //
 // Examples:
 //   prord_live --policy prord --backends 4 --requests 100000
@@ -64,7 +65,6 @@
 
 #include "net/live_cluster.h"
 #include "obs/flight_recorder.h"
-#include "scale/sharded_live.h"
 #include "util/table.h"
 #include "zoo/scenario_registry.h"
 
@@ -281,9 +281,7 @@ int main(int argc, char** argv) {
     std::cerr << "running " << core::policy_label(policy) << " ("
               << cfg.requests << " requests, " << cfg.backends
               << " backends)...\n";
-    const net::LiveRunResult r = cfg.shards > 1
-                                     ? scale::run_live_sharded(cfg)
-                                     : net::run_live(cfg);
+    const net::LiveRunResult r = net::run_live(cfg);
     if (!r.started) {
       std::cerr << core::policy_label(policy) << ": setup failed\n";
       ok = false;
@@ -308,8 +306,6 @@ int main(int argc, char** argv) {
       ok = false;
     }
     if (r.shard_count > 1) {
-      // Per-shard ledger + conservation across shards: every issued
-      // request was parsed by exactly one shard and answered.
       util::Table st({"shard", "requests", "responses", "accepts", "adopted",
                       "routed", "gossip-pub", "gossip-merge"});
       for (const auto& s : r.shards)
@@ -322,12 +318,13 @@ int main(int argc, char** argv) {
                 << (r.reuseport_used ? "SO_REUSEPORT" : "accept handoff")
                 << ")\n";
       st.print(std::cerr);
-      if (!r.shard_conserved()) {
-        std::cerr << r.policy
-                  << ": conservation across shards violated (issued="
-                  << l.issued << " parsed=" << r.dist_requests << ")\n";
-        ok = false;
-      }
+    }
+    // Every issued request was parsed by exactly one shard and answered.
+    if (!r.shard_conserved()) {
+      std::cerr << r.policy
+                << ": conservation across shards violated (issued="
+                << l.issued << " parsed=" << r.dist_requests << ")\n";
+      ok = false;
     }
     if (l.completed == 0 || l.throughput_rps() <= 0) {
       std::cerr << r.policy << ": no throughput\n";

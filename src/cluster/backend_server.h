@@ -142,7 +142,7 @@ class BackendServer {
   /// other shards' contributions and double-count them on every exchange.
   std::uint32_t local_load() const noexcept { return active_; }
 
-  /// Merged in-flight estimate from peer shards (see src/scale/). Each
+  /// Merged in-flight estimate from peer shards (see net/shard_routing.h). Each
   /// gossip merge recomputes this from scratch, so stale values decay to
   /// zero rather than accumulate.
   void set_external_load(std::uint32_t n) noexcept { external_load_ = n; }

@@ -1,9 +1,9 @@
 // Distributor: the live cluster's front end (paper Fig. 1/Fig. 6).
 //
-// Single epoll thread per instance; the sharded front end (src/scale/)
-// runs N instances side by side, each a full shard with its own
-// LiveRouter belief, bound to one port via SO_REUSEPORT or fed through
-// the accept-fd handoff fallback (see DistributorShardOptions).
+// Single epoll thread per instance; ShardedFrontend (which run_live()
+// always builds) runs N instances side by side, each a full shard with
+// its own LiveRouter belief, bound to one port via SO_REUSEPORT or fed
+// through the accept-fd handoff fallback (see DistributorShardOptions).
 //
 // Clients connect over persistent HTTP/1.1; each
 // parsed request is routed through the shared core::RoutingCore (via
@@ -105,8 +105,8 @@ struct DistributorObsOptions {
 
 class Distributor;
 
-/// Shard wiring for the multi-distributor front end (src/scale/). A
-/// non-sharded Distributor is exactly a 1-shard one with defaults here.
+/// Shard wiring for the multi-distributor front end (ShardedFrontend). A
+/// Distributor left at these defaults is a 1-shard front end of its own.
 struct DistributorShardOptions {
   std::uint32_t shard_id = 0;
   std::uint32_t num_shards = 1;
@@ -119,8 +119,8 @@ struct DistributorShardOptions {
   /// `this` keeps the connection local. Empty => keep everything local.
   std::vector<Distributor*> handoff_peers;
   /// Event-loop hook, called with elapsed_us() once per loop iteration on
-  /// the shard thread. The gossip tick (scale::ShardRoutingCore) lives
-  /// here so belief merging never needs a cross-shard lock.
+  /// the shard thread. The gossip tick (ShardRoutingCore) lives here so
+  /// belief merging never needs a cross-shard lock.
   std::function<void(std::int64_t)> tick;
 };
 
@@ -170,9 +170,6 @@ class Distributor {
   /// stop() has joined.
   const std::vector<obs::LiveSpan>& spans() const noexcept { return spans_; }
   const obs::SloMonitor& slo() const noexcept { return slo_; }
-  const DistributorObsOptions& obs_options() const noexcept { return obs_; }
-  /// Current /slo body (same thread-safety contract as spans()).
-  std::string slo_json() const { return slo_.to_json(elapsed_us()); }
 
   /// Body served for GET /metrics. Runs on the distributor thread, so it
   /// may safely read the LiveRouter. Unset => minimal built-in snapshot.
@@ -181,8 +178,8 @@ class Distributor {
   }
 
   /// Body served for GET /slo. Runs on the distributor thread. Unset =>
-  /// this shard's own SloMonitor JSON; the sharded front end installs an
-  /// aggregator that adds per-shard sections.
+  /// this shard's own SloMonitor JSON; run_live() installs one that adds
+  /// the front end's per-shard request ledger.
   void set_slo_provider(std::function<std::string()> fn) {
     slo_fn_ = std::move(fn);
   }

@@ -1,10 +1,13 @@
 // LiveCluster: orchestration for the live loopback prototype.
 //
 // run_live() assembles the full system in one process — N BackendWorker
-// threads, one Distributor thread with its LiveRouter belief model, and a
-// LoadGenerator on the calling thread — replays a workload, scrapes
-// /metrics over a real socket, tears everything down, and returns the
-// consolidated result. This is what `prord_live` and the loopback bench
+// threads, a front end of LiveConfig::shards Distributor threads on one
+// port (each with its own LiveRouter belief model, sharing load over the
+// gossip board; docs/SCALING.md), and a LoadGenerator on the calling
+// thread — replays a workload, scrapes /metrics and /slo over real
+// sockets, tears everything down, and returns the consolidated result.
+// One shard is the paper's single distributor; that path carries no
+// gossip. This is what `prord_live`, the loopback benches and perfbench
 // drive (docs/LIVE_CLUSTER.md).
 #pragma once
 
@@ -25,8 +28,6 @@
 
 namespace prord::net {
 
-class BackendWorker;
-
 struct LiveConfig {
   core::PolicyKind policy = core::PolicyKind::kPrord;
   std::uint32_t backends = 4;
@@ -39,8 +40,7 @@ struct LiveConfig {
   double time_scale = 1.0;  ///< open-loop arrival compression
   std::uint16_t port = 0;   ///< distributor port; 0 = ephemeral
 
-  // --- Sharded front end (docs/SCALING.md; honored by
-  // scale::run_live_sharded — run_live() itself is always 1 shard). ---
+  // --- Sharded front end (docs/SCALING.md). ---
   /// Distributor shards sharing the client port.
   std::uint32_t shards = 1;
   /// Load-gossip cadence / staleness horizon between shard beliefs.
@@ -49,8 +49,9 @@ struct LiveConfig {
   /// Allow SO_REUSEPORT (kernel-spread accepts). When off or unsupported,
   /// shard 0 accepts everything and round-robins fds to its peers.
   bool reuseport = true;
-  /// Load-generator threads (each drives requests/N of the total). 0 =
-  /// one per shard.
+  /// Load-generator threads, splitting the request budget and the
+  /// connections (the remainders go to the first, which runs on the
+  /// calling thread). 0 = one per shard.
   std::size_t load_threads = 1;
 
   /// Synthetic workload (ignored when `clf_path` is set).
@@ -109,7 +110,7 @@ struct LiveWorkerSnapshot {
   std::uint64_t prefetch_loads = 0;
 };
 
-/// Per-shard accounting for sharded runs (docs/SCALING.md).
+/// Per-shard accounting (docs/SCALING.md).
 struct LiveShardSnapshot {
   std::uint32_t shard = 0;
   std::uint64_t requests = 0;
@@ -132,8 +133,7 @@ struct LiveRunResult {
   bool started = false;  ///< false = socket/thread setup failed
   LoadGenResult load;
 
-  // Sharded front end (shard_count == 1 and `shards` empty for plain
-  // run_live()).
+  // Front end: one snapshot per shard.
   std::uint32_t shard_count = 1;
   bool reuseport_used = false;
   std::vector<LiveShardSnapshot> shards;
@@ -189,9 +189,8 @@ struct LiveRunResult {
 
   /// Conservation across shards: every client-issued request was parsed
   /// by exactly one shard, and every parsed request was answered
-  /// (response, failure reply, or 404). Trivially true for plain runs.
+  /// (response, failure reply, or 404).
   bool shard_conserved() const noexcept {
-    if (shards.empty()) return true;
     std::uint64_t parsed = 0, answered = 0;
     for (const LiveShardSnapshot& s : shards) {
       parsed += s.requests;
@@ -210,18 +209,17 @@ struct LiveRunResult {
 };
 
 /// Blocking end-to-end run. Builds site/trace/mining from the config,
-/// serves it over loopback sockets, replays the workload, and returns the
-/// consolidated result.
+/// serves it over loopback sockets through `shards` front-end shards,
+/// replays the workload, and returns the consolidated result.
 LiveRunResult run_live(const LiveConfig& config);
 
 /// One-shot GET `target` against 127.0.0.1:`port`; empty string on any
 /// failure. Used for /metrics scrapes.
 std::string http_get(std::uint16_t port, std::string_view target);
 
-/// Workload/site/model assembly shared by run_live() and the sharded
-/// runner (scale::run_live_sharded): experiment config, train/eval
-/// workloads, cache sizing, and the mining model — everything upstream of
-/// sockets and threads.
+/// Workload/site/model assembly for run_live(): experiment config,
+/// train/eval workloads, cache sizing, and the mining model — everything
+/// upstream of sockets and threads.
 struct LiveSetup {
   core::ExperimentConfig cfg;
   trace::Workload train;
@@ -230,8 +228,8 @@ struct LiveSetup {
   std::uint64_t capacity = 0;  ///< per-backend cache bytes
   std::uint64_t pinned = 0;    ///< reserved for proactive placement
   std::uint64_t demand = 0;    ///< capacity - pinned
-  /// Resolved mining options — sharded runs build one extra MiningModel
-  /// per shard from these (PRORD's popularity tracking mutates the model,
+  /// Resolved mining options — every shard past the first builds its own
+  /// MiningModel from these (PRORD's popularity tracking mutates the model,
   /// so shards must not share one).
   logmining::MiningConfig mining;
   std::shared_ptr<logmining::MiningModel> model;  ///< null for non-mining
@@ -240,19 +238,5 @@ struct LiveSetup {
 
 /// False when the workload cannot be built (e.g. unreadable clf_path).
 bool prepare_live_setup(const LiveConfig& config, LiveSetup& out);
-
-/// Appends one backend worker's prord_live_backend_* counters to `reg`
-/// (shared between the plain and sharded registry builders so metric
-/// names stay single-sourced).
-void append_backend_metrics(obs::MetricRegistry& reg,
-                            const BackendWorker& worker);
-
-/// Appends the prediction-service-side prord_predict_* metrics (feed,
-/// mining, table occupancy — not the distributor's prefetch counters).
-void append_predictor_service_metrics(obs::MetricRegistry& reg,
-                                      const predict::IPredictor& predictor);
-
-/// Copies a worker's atomic counters into a snapshot.
-LiveWorkerSnapshot snapshot_worker(const BackendWorker& worker);
 
 }  // namespace prord::net

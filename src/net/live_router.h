@@ -76,6 +76,7 @@ class LiveRouter {
 
   cluster::Cluster& cluster() noexcept { return cluster_; }
   core::RoutingCore& core() noexcept { return routing_; }
+  const core::RoutingCore& core() const noexcept { return routing_; }
   sim::Simulator& sim() noexcept { return sim_; }
   policies::DistributionPolicy& policy() noexcept { return *policy_; }
 

@@ -1,6 +1,6 @@
-#include "scale/load_gossip.h"
+#include "net/load_gossip.h"
 
-namespace prord::scale {
+namespace prord::net {
 
 std::array<std::uint32_t, kMaxGossipBackends> merge_external_load(
     std::span<const ShardLoadSnapshot> snapshots, std::uint32_t self_shard,
@@ -110,4 +110,4 @@ std::array<std::uint32_t, kMaxGossipBackends> LoadGossipBoard::merged_external(
   return merged;
 }
 
-}  // namespace prord::scale
+}  // namespace prord::net

@@ -17,7 +17,7 @@
 #include <memory>
 #include <span>
 
-namespace prord::scale {
+namespace prord::net {
 
 /// Fixed upper bound on backends carried in a gossip snapshot. Snapshots
 /// are fixed-layout atomic word arrays, so this is a hard compile-time
@@ -123,4 +123,4 @@ class LoadGossipBoard {
   std::uint32_t shards_;
 };
 
-}  // namespace prord::scale
+}  // namespace prord::net

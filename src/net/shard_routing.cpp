@@ -1,10 +1,10 @@
-#include "scale/shard_routing.h"
+#include "net/shard_routing.h"
 
-namespace prord::scale {
+namespace prord::net {
 
 ShardRoutingCore::ShardRoutingCore(std::uint32_t shard,
                                    LoadGossipBoard& board,
-                                   net::LiveRouter& router,
+                                   LiveRouter& router,
                                    GossipOptions options)
     : shard_(shard), board_(board), router_(router), options_(options) {
   if (options_.interval_us <= 0) options_.interval_us = 1;
@@ -52,4 +52,4 @@ void ShardRoutingCore::merge_now(std::int64_t now_us) {
   stats_.peers_merged += board_.shards() - 1 - skipped;
 }
 
-}  // namespace prord::scale
+}  // namespace prord::net

@@ -1,7 +1,7 @@
 // ShardRoutingCore: one distributor shard's private routing belief plus
 // its side of the load-gossip exchange.
 //
-// Each shard owns a full net::LiveRouter (policy, belief cluster, LARD
+// Each shard owns a full LiveRouter (policy, belief cluster, LARD
 // owner tables, PRORD placement view) and never shares it. What *is*
 // shared is a LoadGossipBoard slot per shard: tick() — called from the
 // shard's event loop — publishes this shard's local in-flight counts and
@@ -14,9 +14,9 @@
 #include <cstdint>
 
 #include "net/live_router.h"
-#include "scale/load_gossip.h"
+#include "net/load_gossip.h"
 
-namespace prord::scale {
+namespace prord::net {
 
 /// Per-shard gossip counters, read after the shard thread has stopped
 /// (or from the shard thread itself).
@@ -33,7 +33,7 @@ class ShardRoutingCore {
   /// `router` is this shard's private belief and must be driven only from
   /// the shard thread.
   ShardRoutingCore(std::uint32_t shard, LoadGossipBoard& board,
-                   net::LiveRouter& router, GossipOptions options);
+                   LiveRouter& router, GossipOptions options);
 
   /// Event-loop hook: on gossip cadence, publish our local snapshot and
   /// fold the peers' into belief. `now_us` is the run-wide monotonic
@@ -53,11 +53,11 @@ class ShardRoutingCore {
 
   std::uint32_t shard_;
   LoadGossipBoard& board_;
-  net::LiveRouter& router_;
+  LiveRouter& router_;
   GossipOptions options_;
   std::int64_t next_gossip_us_ = 0;
   std::uint64_t version_ = 0;
   ShardGossipStats stats_;
 };
 
-}  // namespace prord::scale
+}  // namespace prord::net

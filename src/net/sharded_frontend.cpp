@@ -1,13 +1,13 @@
-#include "scale/sharded_frontend.h"
+#include "net/sharded_frontend.h"
 
 #include <cstdio>
 #include <utility>
 
-namespace prord::scale {
+namespace prord::net {
 
-ShardedFrontend::ShardedFrontend(std::vector<net::LiveRouter*> routers,
-                                 const net::SiteStore& site,
-                                 std::vector<net::BackendWorker*> workers,
+ShardedFrontend::ShardedFrontend(std::vector<LiveRouter*> routers,
+                                 const SiteStore& site,
+                                 std::vector<BackendWorker*> workers,
                                  ShardedFrontendOptions options)
     : routers_(std::move(routers)),
       site_(site),
@@ -26,24 +26,24 @@ bool ShardedFrontend::start() {
 
   // --- Listener strategy. ---
   bool want_reuseport = opts_.allow_reuseport && n > 1;
-  if (want_reuseport && !net::reuseport_supported()) {
+  if (want_reuseport && !reuseport_supported()) {
     fallback_reason_ = "SO_REUSEPORT not supported by this kernel";
     std::fprintf(stderr,
-                 "prord-scale: warning: %s; falling back to single-listener "
+                 "sharded front end: warning: %s; falling back to single-listener "
                  "accept handoff across %u shards\n",
                  fallback_reason_.c_str(), n);
     want_reuseport = false;
   }
 
   port_ = opts_.port;
-  std::vector<net::Fd> listeners(n);
-  net::ListenOptions lo;
+  std::vector<Fd> listeners(n);
+  ListenOptions lo;
   lo.backlog = opts_.listen_backlog;
   if (want_reuseport) {
     lo.reuseport = true;
     for (std::uint32_t s = 0; s < n; ++s) {
       // The first bind resolves an ephemeral port; the rest join it.
-      listeners[s] = net::listen_loopback(port_, lo);
+      listeners[s] = listen_loopback(port_, lo);
       if (!listeners[s]) return false;
     }
     reuseport_used_ = true;
@@ -51,7 +51,7 @@ bool ShardedFrontend::start() {
     // Single listener on shard 0; peers get their connections handed off.
     if (n > 1 && opts_.allow_reuseport == false)
       fallback_reason_ = "SO_REUSEPORT disabled by configuration";
-    listeners[0] = net::listen_loopback(port_, lo);
+    listeners[0] = listen_loopback(port_, lo);
     if (!listeners[0]) return false;
     reuseport_used_ = false;
   }
@@ -62,10 +62,10 @@ bool ShardedFrontend::start() {
   cores_.clear();
   dists_.clear();
   for (std::uint32_t s = 0; s < n; ++s) {
-    dists_.push_back(std::make_unique<net::Distributor>(
+    dists_.push_back(std::make_unique<Distributor>(
         *routers_[s], site_, workers_, port_));
   }
-  std::vector<net::Distributor*> peers;
+  std::vector<Distributor*> peers;
   if (!reuseport_used_ && n > 1) {
     peers.reserve(n);
     for (auto& d : dists_) peers.push_back(d.get());
@@ -73,7 +73,7 @@ bool ShardedFrontend::start() {
   for (std::uint32_t s = 0; s < n; ++s) {
     cores_.push_back(std::make_unique<ShardRoutingCore>(
         s, *board_, *routers_[s], opts_.gossip));
-    net::DistributorShardOptions shard;
+    DistributorShardOptions shard;
     shard.shard_id = s;
     shard.num_shards = n;
     shard.listen = std::move(listeners[s]);
@@ -112,8 +112,8 @@ void ShardedFrontend::stop() {
   started_ = false;
 }
 
-net::LiveShardSnapshot ShardedFrontend::snapshot(std::uint32_t i) const {
-  net::LiveShardSnapshot snap;
+LiveShardSnapshot ShardedFrontend::snapshot(std::uint32_t i) const {
+  LiveShardSnapshot snap;
   snap.shard = i;
   const auto& c = dists_[i]->counters();
   snap.requests = c.requests.load();
@@ -134,4 +134,4 @@ net::LiveShardSnapshot ShardedFrontend::snapshot(std::uint32_t i) const {
   return snap;
 }
 
-}  // namespace prord::scale
+}  // namespace prord::net

@@ -7,7 +7,7 @@
 // peers via Distributor::adopt_client (a clear warning, not a crash, so
 // kernels without SO_REUSEPORT still run N shards).
 //
-// Each shard owns a private net::LiveRouter belief (its ShardRoutingCore)
+// Each shard owns a private LiveRouter belief (its ShardRoutingCore)
 // and the shards exchange load estimates through the lock-free
 // LoadGossipBoard — no request ever takes a cross-shard lock. All shards
 // share one run-wide monotonic clock (frontend t0) so gossip staleness
@@ -23,10 +23,10 @@
 
 #include "net/distributor.h"
 #include "net/live_cluster.h"
-#include "scale/load_gossip.h"
-#include "scale/shard_routing.h"
+#include "net/load_gossip.h"
+#include "net/shard_routing.h"
 
-namespace prord::scale {
+namespace prord::net {
 
 struct ShardedFrontendOptions {
   std::uint32_t shards = 1;
@@ -35,7 +35,7 @@ struct ShardedFrontendOptions {
   bool allow_reuseport = true;
   int listen_backlog = 1024;
   GossipOptions gossip;
-  net::DistributorObsOptions obs;  ///< applied to every shard
+  DistributorObsOptions obs;  ///< applied to every shard
   /// Optional prediction seam, applied per shard with per-shard links.
   predict::IPredictor* predictor = nullptr;
   double prefetch_min_confidence = 0.4;
@@ -46,9 +46,9 @@ class ShardedFrontend {
  public:
   /// `routers` holds one private LiveRouter per shard (same order);
   /// routers, site and workers are borrowed and must outlive this.
-  ShardedFrontend(std::vector<net::LiveRouter*> routers,
-                  const net::SiteStore& site,
-                  std::vector<net::BackendWorker*> workers,
+  ShardedFrontend(std::vector<LiveRouter*> routers,
+                  const SiteStore& site,
+                  std::vector<BackendWorker*> workers,
                   ShardedFrontendOptions options);
   ~ShardedFrontend();
   ShardedFrontend(const ShardedFrontend&) = delete;
@@ -78,9 +78,19 @@ class ShardedFrontend {
     return fallback_reason_;
   }
 
-  net::Distributor& shard(std::uint32_t i) { return *dists_[i]; }
-  const net::Distributor& shard(std::uint32_t i) const { return *dists_[i]; }
+  Distributor& shard(std::uint32_t i) { return *dists_[i]; }
+  const Distributor& shard(std::uint32_t i) const { return *dists_[i]; }
   const LoadGossipBoard& board() const noexcept { return *board_; }
+  const ShardedFrontendOptions& options() const noexcept { return opts_; }
+  const std::vector<BackendWorker*>& workers() const noexcept {
+    return workers_;
+  }
+  /// Shard `i`'s belief router and gossip counters: non-atomic state,
+  /// safe from shard `i`'s own thread or after stop().
+  const LiveRouter& router(std::uint32_t i) const { return *routers_[i]; }
+  const ShardGossipStats& gossip_stats(std::uint32_t i) const {
+    return cores_[i]->stats();
+  }
 
   /// Microseconds since start() on the clock every shard's gossip uses.
   std::int64_t elapsed_us() const {
@@ -92,12 +102,12 @@ class ShardedFrontend {
   /// Per-shard consolidated counters. Safe while live for the atomic
   /// distributor counters; the routed/gossip fields read the shard's
   /// non-atomic state and are only exact after stop().
-  net::LiveShardSnapshot snapshot(std::uint32_t i) const;
+  LiveShardSnapshot snapshot(std::uint32_t i) const;
 
  private:
-  std::vector<net::LiveRouter*> routers_;
-  const net::SiteStore& site_;
-  std::vector<net::BackendWorker*> workers_;
+  std::vector<LiveRouter*> routers_;
+  const SiteStore& site_;
+  std::vector<BackendWorker*> workers_;
   ShardedFrontendOptions opts_;
 
   std::function<std::function<std::string()>(std::uint32_t)> metrics_factory_;
@@ -105,7 +115,7 @@ class ShardedFrontend {
 
   std::unique_ptr<LoadGossipBoard> board_;
   std::vector<std::unique_ptr<ShardRoutingCore>> cores_;
-  std::vector<std::unique_ptr<net::Distributor>> dists_;
+  std::vector<std::unique_ptr<Distributor>> dists_;
   std::uint16_t port_ = 0;
   bool reuseport_used_ = false;
   std::string fallback_reason_;
@@ -113,4 +123,4 @@ class ShardedFrontend {
   std::chrono::steady_clock::time_point t0_{};
 };
 
-}  // namespace prord::scale
+}  // namespace prord::net

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/json.h"
-
 namespace prord::obs {
 
 SloMonitor::SloMonitor(SloOptions options) : options_(options) {
@@ -79,7 +77,7 @@ util::JsonValue window_json(const SloWindowEval& w) {
 
 }  // namespace
 
-std::string SloMonitor::to_json(std::int64_t now_us) const {
+util::JsonValue SloMonitor::to_json_value(std::int64_t now_us) const {
   const SloEval eval = evaluate(now_us);
   util::JsonValue doc = util::JsonValue::object();
   doc.set("at_us", eval.at_us);
@@ -99,7 +97,7 @@ std::string SloMonitor::to_json(std::int64_t now_us) const {
   cumulative.set("latency_p99_us", hist_.quantile(0.99));
   cumulative.set("latency_max_us", hist_.max());
   doc.set("cumulative", std::move(cumulative));
-  return doc.dump();
+  return doc;
 }
 
 }  // namespace prord::obs

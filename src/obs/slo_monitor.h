@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "metrics/histogram.h"
+#include "util/json.h"
 
 namespace prord::obs {
 
@@ -71,10 +72,13 @@ class SloMonitor {
   std::uint64_t bad() const noexcept { return bad_; }
   const metrics::Histogram& latency_hist() const noexcept { return hist_; }
 
-  /// Body of the distributor's /slo endpoint: one JSON object with the
-  /// objectives, both window evaluations and cumulative latency
-  /// quantiles. Parses with util::json_parse.
-  std::string to_json(std::int64_t now_us) const;
+  /// One JSON object with the objectives, both window evaluations and
+  /// cumulative latency quantiles — the body of the distributor's /slo
+  /// endpoint. Parses with util::json_parse.
+  util::JsonValue to_json_value(std::int64_t now_us) const;
+  std::string to_json(std::int64_t now_us) const {
+    return to_json_value(now_us).dump();
+  }
 
  private:
   struct Slice {

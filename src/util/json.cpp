@@ -42,7 +42,11 @@ void number_to(std::string& out, double v) {
   out += buf;
 }
 
-void indent_to(std::string& out, int indent) {
+// Starts a new line `indent` levels deep; compact output (indent < 0)
+// has no line breaks.
+void break_to(std::string& out, int indent) {
+  if (indent < 0) return;
+  out.push_back('\n');
   out.append(static_cast<std::size_t>(indent) * 2, ' ');
 }
 
@@ -206,6 +210,7 @@ struct Parser {
 }  // namespace
 
 void JsonValue::dump_to(std::string& out, int indent) const {
+  const int inner = indent < 0 ? indent : indent + 1;
   switch (type_) {
     case Type::kNull: out += "null"; return;
     case Type::kBool: out += bool_ ? "true" : "false"; return;
@@ -216,14 +221,13 @@ void JsonValue::dump_to(std::string& out, int indent) const {
         out += "[]";
         return;
       }
-      out += "[\n";
+      out.push_back('[');
       for (std::size_t i = 0; i < items_.size(); ++i) {
-        indent_to(out, indent + 1);
-        items_[i].dump_to(out, indent + 1);
+        break_to(out, inner);
+        items_[i].dump_to(out, inner);
         if (i + 1 < items_.size()) out.push_back(',');
-        out.push_back('\n');
       }
-      indent_to(out, indent);
+      break_to(out, indent);
       out.push_back(']');
       return;
     }
@@ -232,25 +236,24 @@ void JsonValue::dump_to(std::string& out, int indent) const {
         out += "{}";
         return;
       }
-      out += "{\n";
+      out.push_back('{');
       for (std::size_t i = 0; i < members_.size(); ++i) {
-        indent_to(out, indent + 1);
+        break_to(out, inner);
         escape_to(out, members_[i].first);
-        out += ": ";
-        members_[i].second.dump_to(out, indent + 1);
+        out += indent < 0 ? ":" : ": ";
+        members_[i].second.dump_to(out, inner);
         if (i + 1 < members_.size()) out.push_back(',');
-        out.push_back('\n');
       }
-      indent_to(out, indent);
+      break_to(out, indent);
       out.push_back('}');
       return;
     }
   }
 }
 
-std::string JsonValue::dump() const {
+std::string JsonValue::dump(bool pretty) const {
   std::string out;
-  dump_to(out, 0);
+  dump_to(out, pretty ? 0 : -1);
   out.push_back('\n');
   return out;
 }

@@ -76,10 +76,12 @@ class JsonValue {
     return nullptr;
   }
 
-  /// Serializes with 2-space indentation and ordered members.
-  std::string dump() const;
+  /// Serializes with ordered members and a trailing newline: indented by
+  /// two spaces per level, or on one line without spaces when !pretty.
+  std::string dump(bool pretty = true) const;
 
  private:
+  /// `indent` < 0 renders compact.
   void dump_to(std::string& out, int indent) const;
 
   Type type_ = Type::kNull;

@@ -14,9 +14,9 @@
 #include <thread>
 #include <vector>
 
-#include "scale/load_gossip.h"
+#include "net/load_gossip.h"
 
-namespace prord::scale {
+namespace prord::net {
 namespace {
 
 // Derive every word of a snapshot from (shard, version) so a reader can
@@ -64,25 +64,34 @@ TEST(GossipTorture, ConcurrentPublishReadMerge) {
   constexpr std::uint64_t kPublishes = 20'000;
   LoadGossipBoard board(kShards);
 
+  constexpr int kReaders = 3;
   std::atomic<bool> stop{false};
+  // Writers start only once every reader runs, so the reads really
+  // contend with the publishes even on an oversubscribed host.
+  std::atomic<int> readers_started{0};
   std::atomic<std::uint64_t> reads_ok{0};
   std::atomic<std::uint64_t> reads_failed{0};
   std::atomic<bool> corrupt{false};
 
   std::vector<std::thread> writers;
   for (std::uint32_t s = 0; s < kShards; ++s) {
-    writers.emplace_back([&board, s] {
+    writers.emplace_back([&board, &readers_started, s] {
+      while (readers_started.load(std::memory_order_acquire) < kReaders)
+        std::this_thread::yield();
       for (std::uint64_t v = 1; v <= kPublishes; ++v)
         board.publish(s, derived_snapshot(s, v, kBackends));
     });
   }
 
   std::vector<std::thread> readers;
-  for (int r = 0; r < 3; ++r) {
+  for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&] {
       ShardLoadSnapshot out;
       std::uint64_t last_version[kShards] = {0};
-      while (!stop.load(std::memory_order_acquire)) {
+      readers_started.fetch_add(1, std::memory_order_release);
+      // At least one full pass, even for a reader descheduled until the
+      // writers are done.
+      do {
         for (std::uint32_t s = 0; s < kShards; ++s) {
           if (!board.read(s, out)) {
             reads_failed.fetch_add(1, std::memory_order_relaxed);
@@ -96,7 +105,7 @@ TEST(GossipTorture, ConcurrentPublishReadMerge) {
           }
           last_version[s] = out.version;  // versions never go backwards
         }
-      }
+      } while (!stop.load(std::memory_order_acquire));
     });
   }
 
@@ -142,4 +151,4 @@ TEST(GossipTorture, ConcurrentPublishReadMerge) {
 }
 
 }  // namespace
-}  // namespace prord::scale
+}  // namespace prord::net

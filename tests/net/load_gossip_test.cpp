@@ -10,9 +10,9 @@
 #include <array>
 #include <vector>
 
-#include "scale/load_gossip.h"
+#include "net/load_gossip.h"
 
-namespace prord::scale {
+namespace prord::net {
 namespace {
 
 ShardLoadSnapshot make_snapshot(std::uint32_t shard, std::uint64_t version,
@@ -187,4 +187,4 @@ TEST(GossipBoard, RoutingCountersSurviveRoundTrip) {
 }
 
 }  // namespace
-}  // namespace prord::scale
+}  // namespace prord::net

@@ -3,19 +3,19 @@
 // threads, multi-threaded load generation. The contract under test is
 // conservation across shards — every issued request is parsed by exactly
 // one shard and answered — plus the shard bookkeeping (per-shard
-// snapshots, handoff accounting, gossip liveness) and 1-shard parity
-// with the unsharded runner.
+// snapshots, handoff accounting, gossip liveness), the one-shard case
+// of the same assembly, and a /metrics and /slo surface that is the same
+// at every shard count.
 
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "net/live_cluster.h"
-#include "scale/sharded_live.h"
 #include "trace/models.h"
 #include "trace/workload.h"
 
-namespace prord::scale {
+namespace prord::net {
 namespace {
 
 trace::WorkloadSpec small_spec() {
@@ -24,9 +24,8 @@ trace::WorkloadSpec small_spec() {
   return spec;
 }
 
-net::LiveConfig sharded_config(std::uint32_t shards,
-                               core::PolicyKind policy) {
-  net::LiveConfig cfg;
+LiveConfig sharded_config(std::uint32_t shards, core::PolicyKind policy) {
+  LiveConfig cfg;
   cfg.policy = policy;
   cfg.backends = 2;
   cfg.requests = 2000;
@@ -39,7 +38,7 @@ net::LiveConfig sharded_config(std::uint32_t shards,
   return cfg;
 }
 
-void expect_conserved(const net::LiveRunResult& r, std::uint32_t shards) {
+void expect_conserved(const LiveRunResult& r, std::uint32_t shards) {
   ASSERT_TRUE(r.started);
   EXPECT_EQ(r.shard_count, shards);
   EXPECT_TRUE(r.conserved());
@@ -59,21 +58,50 @@ void expect_conserved(const net::LiveRunResult& r, std::uint32_t shards) {
   EXPECT_EQ(r.routed, r.dist_requests);
 }
 
+/// The value of an unlabeled series in a Prometheus scrape; -1 if absent.
+double scrape_value(const std::string& scrape, const std::string& name) {
+  const std::string key = "\n" + name + " ";
+  const std::size_t at = ("\n" + scrape).find(key);
+  if (at == std::string::npos) return -1.0;
+  return std::stod(scrape.substr(at + key.size() - 1));
+}
+
 TEST(ShardedLive, OneShardMatchesRunLiveBehaviour) {
-  // shards == 1 is the parity anchor: same assembly as net::run_live,
-  // same counters, no gossip, no handoff.
-  const net::LiveRunResult r =
-      run_live_sharded(sharded_config(1, core::PolicyKind::kPrord));
+  // shards == 1 is the paper's single distributor: one shard snapshot, no
+  // gossip, no handoff.
+  const LiveRunResult r =
+      run_live(sharded_config(1, core::PolicyKind::kPrord));
   expect_conserved(r, 1);
   EXPECT_EQ(r.shards[0].adopted, 0u);
   EXPECT_EQ(r.shards[0].gossip_publishes, 0u);
-  // The unsharded runner on the same config conserves identically.
-  const net::LiveRunResult plain =
-      net::run_live(sharded_config(1, core::PolicyKind::kPrord));
-  ASSERT_TRUE(plain.started);
-  EXPECT_TRUE(plain.conserved());
-  EXPECT_EQ(plain.dist_requests, r.dist_requests);
-  EXPECT_EQ(plain.routed, r.routed);
+}
+
+TEST(ShardedLive, OneShardLiveScrapeCountsEveryRoutedRequest) {
+  // One shard never publishes to the gossip board, so its live scrape
+  // must read the serving shard's own RoutingCore to be exact.
+  LiveConfig cfg = sharded_config(1, core::PolicyKind::kPrord);
+  cfg.load_threads = 1;
+  const LiveRunResult r = run_live(cfg);
+  expect_conserved(r, 1);
+  EXPECT_EQ(scrape_value(r.metrics_scrape, "prord_live_routed_total"),
+            static_cast<double>(r.load.issued));
+  EXPECT_EQ(scrape_value(r.metrics_scrape, "prord_live_requests_total"),
+            static_cast<double>(r.load.issued));
+}
+
+TEST(ShardedLive, LoadThreadSplitKeepsEveryConnection) {
+  // 5 connections over 2 generator threads: the remainder connection must
+  // not be dropped. The shards' accepts sum to the client connections
+  // plus the two post-run scrapes (/metrics, /slo).
+  LiveConfig cfg = sharded_config(2, core::PolicyKind::kWrr);
+  cfg.reuseport = false;
+  cfg.concurrency = 5;
+  cfg.load_threads = 2;
+  const LiveRunResult r = run_live(cfg);
+  expect_conserved(r, 2);
+  std::uint64_t accepts = 0;
+  for (const auto& s : r.shards) accepts += s.accepts;
+  EXPECT_EQ(accepts, 5u + 2u);
 }
 
 TEST(ShardedLive, TwoShardsHandoffModeSpreadsAcceptsConserves) {
@@ -81,9 +109,9 @@ TEST(ShardedLive, TwoShardsHandoffModeSpreadsAcceptsConserves) {
   // every shard must see traffic — the kernel's reuseport hash offers no
   // such guarantee, which is why this assertion lives here and not in
   // the reuseport test.
-  net::LiveConfig cfg = sharded_config(2, core::PolicyKind::kWrr);
+  LiveConfig cfg = sharded_config(2, core::PolicyKind::kWrr);
   cfg.reuseport = false;
-  const net::LiveRunResult r = run_live_sharded(cfg);
+  const LiveRunResult r = run_live(cfg);
   expect_conserved(r, 2);
   EXPECT_FALSE(r.reuseport_used);
   std::uint64_t adopted = 0;
@@ -100,8 +128,8 @@ TEST(ShardedLive, TwoShardsHandoffModeSpreadsAcceptsConserves) {
 }
 
 TEST(ShardedLive, FourShardsReuseportConservesAndGossips) {
-  const net::LiveRunResult r =
-      run_live_sharded(sharded_config(4, core::PolicyKind::kPrord));
+  const LiveRunResult r =
+      run_live(sharded_config(4, core::PolicyKind::kPrord));
   expect_conserved(r, 4);
   // Gossip ran on every shard (liveness, not load values — those depend
   // on timing).
@@ -115,9 +143,9 @@ TEST(ShardedLive, FourShardsReuseportConservesAndGossips) {
 }
 
 TEST(ShardedLive, ShardLabeledScrapeAndSlo) {
-  net::LiveConfig cfg = sharded_config(2, core::PolicyKind::kLard);
+  LiveConfig cfg = sharded_config(2, core::PolicyKind::kLard);
   cfg.reuseport = false;  // deterministic: both shards serve traffic
-  const net::LiveRunResult r = run_live_sharded(cfg);
+  const LiveRunResult r = run_live(cfg);
   expect_conserved(r, 2);
   // /metrics carries shard-labeled counters plus the aggregate series
   // the 1-shard dashboards already use.
@@ -133,6 +161,9 @@ TEST(ShardedLive, ShardLabeledScrapeAndSlo) {
             std::string::npos);
   EXPECT_NE(r.metrics_scrape.find("prord_live_accepts_total"),
             std::string::npos);
+  // ... and the SLO series, from the serving shard's own monitor.
+  EXPECT_NE(r.metrics_scrape.find("prord_live_slo_burn_rate"),
+            std::string::npos);
   // /slo aggregates across shards and names the serving shard.
   EXPECT_NE(r.slo_scrape.find("\"shards\":2"), std::string::npos);
   EXPECT_NE(r.slo_scrape.find("\"per_shard\":["), std::string::npos);
@@ -140,10 +171,10 @@ TEST(ShardedLive, ShardLabeledScrapeAndSlo) {
 }
 
 TEST(ShardedLive, TracedSpansCarryShardIds) {
-  net::LiveConfig cfg = sharded_config(2, core::PolicyKind::kWrr);
+  LiveConfig cfg = sharded_config(2, core::PolicyKind::kWrr);
   cfg.reuseport = false;
   cfg.trace_sample_rate = 1.0;
-  const net::LiveRunResult r = run_live_sharded(cfg);
+  const LiveRunResult r = run_live(cfg);
   expect_conserved(r, 2);
   ASSERT_GT(r.spans.size(), 0u);
   bool saw_shard1 = false;
@@ -152,7 +183,12 @@ TEST(ShardedLive, TracedSpansCarryShardIds) {
     if (span.shard == 1) saw_shard1 = true;
   }
   EXPECT_TRUE(saw_shard1) << "no span ever routed through shard 1";
+  // The final registry decomposes every shard's spans per hop.
+  bool hop_series = false;
+  for (const auto& [key, metric] : r.registry.series())
+    if (metric.name == "prord_live_hop_us") hop_series = true;
+  EXPECT_TRUE(hop_series);
 }
 
 }  // namespace
-}  // namespace prord::scale
+}  // namespace prord::net
