@@ -30,25 +30,38 @@ void MemoryCache::gdsf_touch(LruList::iterator it) {
   gdsf_index_.insert({it->priority, it->file});
 }
 
+bool MemoryCache::place(trace::FileId file, LruList::iterator it) {
+  if (file > trace::kMaxDenseFileId) return false;
+  if (file >= index_.size()) index_.resize(std::size_t{file} + 1);
+  index_[file] = Slot{it, true};
+  ++files_;
+  return true;
+}
+
+void MemoryCache::unplace(trace::FileId file) noexcept {
+  index_[file].present = false;
+  --files_;
+}
+
 bool MemoryCache::lookup(trace::FileId file) {
-  const auto it = index_.find(file);
-  if (it == index_.end()) {
+  const Slot* slot = find(file);
+  if (!slot) {
     ++stats_.misses;
     return false;
   }
   ++stats_.hits;
-  if (it->second->pinned) {
-    pinned_lru_.splice(pinned_lru_.begin(), pinned_lru_, it->second);
+  if (slot->it->pinned) {
+    pinned_lru_.splice(pinned_lru_.begin(), pinned_lru_, slot->it);
   } else if (eviction_ == DemandEviction::kGdsf) {
-    gdsf_touch(it->second);
+    gdsf_touch(slot->it);
   } else {
-    demand_lru_.splice(demand_lru_.begin(), demand_lru_, it->second);
+    demand_lru_.splice(demand_lru_.begin(), demand_lru_, slot->it);
   }
   return true;
 }
 
 bool MemoryCache::contains(trace::FileId file) const {
-  return index_.contains(file);
+  return file < index_.size() && index_[file].present;
 }
 
 void MemoryCache::evict_lru(LruList& lru, std::uint64_t& used,
@@ -57,7 +70,7 @@ void MemoryCache::evict_lru(LruList& lru, std::uint64_t& used,
   while (used + needed > capacity && !lru.empty()) {
     const Entry& victim = lru.back();
     used -= victim.bytes;
-    index_.erase(victim.file);
+    unplace(victim.file);
     lru.pop_back();
     ++evictions;
   }
@@ -68,25 +81,25 @@ void MemoryCache::evict_gdsf(std::uint64_t needed) {
     const auto [priority, file] = *gdsf_index_.begin();
     gdsf_index_.erase(gdsf_index_.begin());
     gdsf_clock_ = priority;  // inflation: future entries outrank the dead
-    const auto it = index_.find(file);
-    demand_bytes_ -= it->second->bytes;
-    demand_lru_.erase(it->second);
-    index_.erase(it);
+    const LruList::iterator victim = find(file)->it;
+    demand_bytes_ -= victim->bytes;
+    demand_lru_.erase(victim);
+    unplace(file);
     ++stats_.demand_evictions;
   }
 }
 
 void MemoryCache::insert_demand(trace::FileId file, std::uint64_t bytes) {
-  if (bytes > demand_capacity_) return;  // streamed, never cached
-  const auto it = index_.find(file);
-  if (it != index_.end()) {
+  // Streamed, never cached.
+  if (bytes > demand_capacity_ || file > trace::kMaxDenseFileId) return;
+  if (const Slot* slot = find(file)) {
     // Already resident (e.g. pinned while the miss was in flight).
-    if (it->second->pinned) {
-      pinned_lru_.splice(pinned_lru_.begin(), pinned_lru_, it->second);
+    if (slot->it->pinned) {
+      pinned_lru_.splice(pinned_lru_.begin(), pinned_lru_, slot->it);
     } else if (eviction_ == DemandEviction::kGdsf) {
-      gdsf_touch(it->second);
+      gdsf_touch(slot->it);
     } else {
-      demand_lru_.splice(demand_lru_.begin(), demand_lru_, it->second);
+      demand_lru_.splice(demand_lru_.begin(), demand_lru_, slot->it);
     }
     return;
   }
@@ -98,7 +111,7 @@ void MemoryCache::insert_demand(trace::FileId file, std::uint64_t bytes) {
 
   demand_lru_.push_front(Entry{file, bytes, false, 1.0, 0.0});
   demand_bytes_ += bytes;
-  index_[file] = demand_lru_.begin();
+  place(file, demand_lru_.begin());
   if (eviction_ == DemandEviction::kGdsf) {
     auto entry = demand_lru_.begin();
     entry->priority = gdsf_priority(*entry);
@@ -107,55 +120,59 @@ void MemoryCache::insert_demand(trace::FileId file, std::uint64_t bytes) {
 }
 
 bool MemoryCache::insert_pinned(trace::FileId file, std::uint64_t bytes) {
-  if (pinned_capacity_ == 0 || bytes > pinned_capacity_) return false;
-  const auto it = index_.find(file);
-  if (it != index_.end()) {
-    if (it->second->pinned) {
-      pinned_lru_.splice(pinned_lru_.begin(), pinned_lru_, it->second);
+  if (pinned_capacity_ == 0 || bytes > pinned_capacity_ ||
+      file > trace::kMaxDenseFileId)
+    return false;
+  if (const Slot* slot = find(file)) {
+    const LruList::iterator it = slot->it;
+    if (it->pinned) {
+      pinned_lru_.splice(pinned_lru_.begin(), pinned_lru_, it);
       return true;
     }
     // Upgrade from demand to pinned: remove demand copy first.
     if (eviction_ == DemandEviction::kGdsf)
-      gdsf_index_.erase({it->second->priority, file});
-    demand_bytes_ -= it->second->bytes;
-    demand_lru_.erase(it->second);
-    index_.erase(it);
+      gdsf_index_.erase({it->priority, file});
+    demand_bytes_ -= it->bytes;
+    demand_lru_.erase(it);
+    unplace(file);
   }
   evict_lru(pinned_lru_, pinned_bytes_, pinned_capacity_, bytes,
             stats_.pinned_evictions);
   pinned_lru_.push_front(Entry{file, bytes, true, 1.0, 0.0});
   pinned_bytes_ += bytes;
-  index_[file] = pinned_lru_.begin();
+  place(file, pinned_lru_.begin());
   return true;
 }
 
 void MemoryCache::erase(trace::FileId file) {
-  const auto it = index_.find(file);
-  if (it == index_.end()) return;
-  if (it->second->pinned) {
-    pinned_bytes_ -= it->second->bytes;
-    pinned_lru_.erase(it->second);
+  const Slot* slot = find(file);
+  if (!slot) return;
+  const LruList::iterator it = slot->it;
+  if (it->pinned) {
+    pinned_bytes_ -= it->bytes;
+    pinned_lru_.erase(it);
   } else {
     if (eviction_ == DemandEviction::kGdsf)
-      gdsf_index_.erase({it->second->priority, file});
-    demand_bytes_ -= it->second->bytes;
-    demand_lru_.erase(it->second);
+      gdsf_index_.erase({it->priority, file});
+    demand_bytes_ -= it->bytes;
+    demand_lru_.erase(it);
   }
-  index_.erase(it);
+  unplace(file);
 }
 
 void MemoryCache::erase_pinned(trace::FileId file) {
-  const auto it = index_.find(file);
-  if (it == index_.end() || !it->second->pinned) return;
-  pinned_bytes_ -= it->second->bytes;
-  pinned_lru_.erase(it->second);
-  index_.erase(it);
+  const Slot* slot = find(file);
+  if (!slot || !slot->it->pinned) return;
+  pinned_bytes_ -= slot->it->bytes;
+  pinned_lru_.erase(slot->it);
+  unplace(file);
 }
 
 void MemoryCache::clear() {
   demand_lru_.clear();
   pinned_lru_.clear();
-  index_.clear();
+  for (Slot& slot : index_) slot.present = false;
+  files_ = 0;
   gdsf_index_.clear();
   demand_bytes_ = 0;
   pinned_bytes_ = 0;

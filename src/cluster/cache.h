@@ -11,8 +11,8 @@
 #include <cstdint>
 #include <list>
 #include <set>
-#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "trace/log_record.h"
 
@@ -59,7 +59,8 @@ class MemoryCache {
   bool contains(trace::FileId file) const;
 
   /// Inserts after a demand miss. Evicts LRU demand entries as needed.
-  /// Files larger than the demand capacity are not cached (streamed).
+  /// Files larger than the demand capacity are not cached (streamed), nor
+  /// are ids above trace::kMaxDenseFileId.
   void insert_demand(trace::FileId file, std::uint64_t bytes);
 
   /// Proactive placement into the pinned region (prefetch/replication).
@@ -80,7 +81,7 @@ class MemoryCache {
   std::uint64_t pinned_bytes() const noexcept { return pinned_bytes_; }
   std::uint64_t demand_capacity() const noexcept { return demand_capacity_; }
   std::uint64_t pinned_capacity() const noexcept { return pinned_capacity_; }
-  std::size_t num_files() const noexcept { return index_.size(); }
+  std::size_t num_files() const noexcept { return files_; }
 
   const CacheStats& stats() const noexcept { return stats_; }
 
@@ -97,6 +98,21 @@ class MemoryCache {
     double priority = 0.0;  // GDSF H value
   };
   using LruList = std::list<Entry>;
+  /// Where a resident file's entry sits; `present` is false otherwise.
+  struct Slot {
+    LruList::iterator it{};
+    bool present = false;
+  };
+
+  /// The resident file's slot, or null.
+  Slot* find(trace::FileId file) noexcept {
+    return file < index_.size() && index_[file].present ? &index_[file]
+                                                        : nullptr;
+  }
+  /// Marks `file` resident at `it`; false (nothing stored) for ids above
+  /// trace::kMaxDenseFileId.
+  bool place(trace::FileId file, LruList::iterator it);
+  void unplace(trace::FileId file) noexcept;
 
   void evict_lru(LruList& lru, std::uint64_t& used, std::uint64_t capacity,
                  std::uint64_t needed, std::uint64_t& evictions);
@@ -111,7 +127,8 @@ class MemoryCache {
   std::uint64_t pinned_bytes_ = 0;
   LruList demand_lru_;  // front = most recent (LRU mode); storage (GDSF)
   LruList pinned_lru_;
-  std::unordered_map<trace::FileId, LruList::iterator> index_;
+  std::vector<Slot> index_;  // indexed by FileId
+  std::size_t files_ = 0;    // resident files
   // GDSF victim index: (priority, file) ordered ascending.
   std::set<std::pair<double, trace::FileId>> gdsf_index_;
   double gdsf_clock_ = 0.0;  // inflation clock L

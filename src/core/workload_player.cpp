@@ -439,7 +439,7 @@ RunMetrics play_workload(sim::Simulator& sim, cluster::Cluster& cluster,
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint32_t conn = workload.requests[i].conn;
     state.conn_reqs[state.conn_pos[conn]++] = static_cast<std::uint32_t>(i);
-    state.kickoff.emplace(conn, static_cast<std::uint32_t>(i));
+    state.kickoff.try_emplace(conn, static_cast<std::uint32_t>(i));
   }
   state.conn_pos.assign(state.conn_offset.begin(),
                         state.conn_offset.end() - (num_conns ? 1 : 0));

@@ -60,36 +60,51 @@ void MarkovPredictor::observe_transition(
     count(context.subspan(context.size() - len, len), page);
 }
 
+const MarkovPredictor::ContextStats* MarkovPredictor::match(
+    std::span<const trace::FileId> context, std::size_t& len) const {
+  // Longest-context-first back-off: the most specific context with data
+  // wins outright (standard PPM behaviour).
+  const std::size_t max_ctx = std::min<std::size_t>(order_, context.size());
+  for (len = max_ctx; len >= 1; --len) {
+    const auto& table = tables_[len - 1];
+    const auto it =
+        table.find(context_key(context.subspan(context.size() - len, len)));
+    if (it != table.end() && it->second.total != 0) return &it->second;
+  }
+  return nullptr;
+}
+
 std::optional<Prediction> MarkovPredictor::predict(
     std::span<const trace::FileId> context, double min_confidence) const {
-  const auto all = predict_all(context, 1);
-  if (all.empty() || all.front().confidence < min_confidence)
-    return std::nullopt;
-  return all.front();
+  // predict_all(context, 1).front(), without building the vector.
+  std::size_t len = 0;
+  const ContextStats* stats = match(context, len);
+  if (!stats) return std::nullopt;
+  std::optional<Prediction> best;
+  for (const auto& [page, cnt] : stats->next) {
+    const Prediction p{
+        page, static_cast<double>(cnt) / static_cast<double>(stats->total),
+        static_cast<unsigned>(len)};
+    if (!best || better(p, *best)) best = p;
+  }
+  if (!best || best->confidence < min_confidence) return std::nullopt;
+  return best;
 }
 
 std::vector<Prediction> MarkovPredictor::predict_all(
     std::span<const trace::FileId> context, std::size_t k) const {
-  // Longest-context-first back-off: the most specific context with data
-  // wins outright (standard PPM behaviour).
-  const std::size_t max_ctx = std::min<std::size_t>(order_, context.size());
-  for (std::size_t len = max_ctx; len >= 1; --len) {
-    const auto ctx = context.subspan(context.size() - len, len);
-    const auto& table = tables_[len - 1];
-    const auto it = table.find(context_key(ctx));
-    if (it == table.end() || it->second.total == 0) continue;
-    std::vector<Prediction> preds;
-    preds.reserve(it->second.next.size());
-    for (const auto& [page, cnt] : it->second.next)
-      preds.push_back(Prediction{
-          page,
-          static_cast<double>(cnt) / static_cast<double>(it->second.total),
-          static_cast<unsigned>(len)});
-    std::sort(preds.begin(), preds.end(), better);
-    if (preds.size() > k) preds.resize(k);
-    return preds;
-  }
-  return {};
+  std::size_t len = 0;
+  const ContextStats* stats = match(context, len);
+  if (!stats) return {};
+  std::vector<Prediction> preds;
+  preds.reserve(stats->next.size());
+  for (const auto& [page, cnt] : stats->next)
+    preds.push_back(Prediction{
+        page, static_cast<double>(cnt) / static_cast<double>(stats->total),
+        static_cast<unsigned>(len)});
+  std::sort(preds.begin(), preds.end(), better);
+  if (preds.size() > k) preds.resize(k);
+  return preds;
 }
 
 std::size_t MarkovPredictor::num_entries() const {
@@ -207,12 +222,31 @@ void DependencyGraphPredictor::observe_transition(
   if (!context.empty()) ++nodes_[context.back()].occurrences;
 }
 
+namespace {
+
+Prediction arc_prediction(trace::FileId page, std::uint64_t cnt,
+                          std::uint64_t occurrences) {
+  return Prediction{page,
+                    std::min(1.0, static_cast<double>(cnt) /
+                                      static_cast<double>(occurrences)),
+                    1};
+}
+
+}  // namespace
+
 std::optional<Prediction> DependencyGraphPredictor::predict(
     std::span<const trace::FileId> context, double min_confidence) const {
-  const auto all = predict_all(context, 1);
-  if (all.empty() || all.front().confidence < min_confidence)
-    return std::nullopt;
-  return all.front();
+  // predict_all(context, 1).front(), without building the vector.
+  if (context.empty()) return std::nullopt;
+  const auto it = nodes_.find(context.back());
+  if (it == nodes_.end() || it->second.occurrences == 0) return std::nullopt;
+  std::optional<Prediction> best;
+  for (const auto& [page, cnt] : it->second.arcs) {
+    const Prediction p = arc_prediction(page, cnt, it->second.occurrences);
+    if (!best || better(p, *best)) best = p;
+  }
+  if (!best || best->confidence < min_confidence) return std::nullopt;
+  return best;
 }
 
 std::vector<Prediction> DependencyGraphPredictor::predict_all(
@@ -223,11 +257,7 @@ std::vector<Prediction> DependencyGraphPredictor::predict_all(
   std::vector<Prediction> preds;
   preds.reserve(it->second.arcs.size());
   for (const auto& [page, cnt] : it->second.arcs)
-    preds.push_back(Prediction{
-        page,
-        std::min(1.0, static_cast<double>(cnt) /
-                          static_cast<double>(it->second.occurrences)),
-        1});
+    preds.push_back(arc_prediction(page, cnt, it->second.occurrences));
   std::sort(preds.begin(), preds.end(), better);
   if (preds.size() > k) preds.resize(k);
   return preds;
@@ -329,10 +359,35 @@ void CandidatePathPredictor::observe_transition(
 
 std::optional<Prediction> CandidatePathPredictor::predict(
     std::span<const trace::FileId> context, double min_confidence) const {
-  const auto all = predict_all(context, 1);
-  if (all.empty() || all.front().confidence < min_confidence)
+  // predict_all(context, 1).front(), without building the vector: that is
+  // the best linked row of the matched context if it ranks among the top
+  // 1 + |links| rows predict_all keeps before filtering.
+  if (context.empty()) return std::nullopt;
+  const auto lit = links_.find(context.back());
+  if (lit == links_.end()) return std::nullopt;
+  std::size_t len = 0;
+  const MarkovPredictor::ContextStats* stats = counts_.match(context, len);
+  if (!stats) return std::nullopt;
+  const std::vector<trace::FileId>& linked = lit->second;
+  const auto row = [&](trace::FileId page, std::uint64_t cnt) {
+    return Prediction{
+        page, static_cast<double>(cnt) / static_cast<double>(stats->total),
+        static_cast<unsigned>(len)};
+  };
+  std::optional<Prediction> best;
+  for (const auto& [page, cnt] : stats->next) {
+    if (std::find(linked.begin(), linked.end(), page) == linked.end())
+      continue;
+    const Prediction p = row(page, cnt);
+    if (!best || better(p, *best)) best = p;
+  }
+  if (!best) return std::nullopt;
+  std::size_t above = 0;
+  for (const auto& [page, cnt] : stats->next)
+    above += better(row(page, cnt), *best);
+  if (above > linked.size() || best->confidence < min_confidence)
     return std::nullopt;
-  return all.front();
+  return best;
 }
 
 std::vector<Prediction> CandidatePathPredictor::predict_all(

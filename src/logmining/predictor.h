@@ -121,6 +121,13 @@ class MarkovPredictor final : public Predictor {
 
   static std::uint64_t context_key(std::span<const trace::FileId> ctx);
   void count(std::span<const trace::FileId> ctx, trace::FileId next);
+  /// The context predict_all ranks from — the longest suffix of `context`
+  /// with data — and its length in `len`; null when no suffix has data.
+  const ContextStats* match(std::span<const trace::FileId> context,
+                            std::size_t& len) const;
+
+  // Its predict() ranks this predictor's matched context in place.
+  friend class CandidatePathPredictor;
 
   unsigned order_;
   // One table per context length (index 0 = order-1 contexts).

@@ -20,18 +20,19 @@ std::uint32_t tier_replicas(ReplicaTier tier, std::uint32_t num_servers) {
   return 0;
 }
 
-std::vector<ReplicaDirective> plan_replication(
-    std::span<const RankEntry> rank_table, std::uint32_t num_servers,
-    const ReplicationPlanOptions& options) {
+void plan_replication(std::span<const RankEntry> rank_table,
+                      std::uint32_t num_servers,
+                      const ReplicationPlanOptions& options,
+                      std::vector<ReplicaDirective>& plan) {
   if (num_servers == 0)
     throw std::invalid_argument("plan_replication: num_servers == 0");
-  std::vector<ReplicaDirective> plan;
-  if (rank_table.empty()) return plan;
+  plan.clear();
+  if (rank_table.empty()) return;
 
   // The table arrives sorted (Algorithm 3 step (i)); trust but verify in
   // debug builds only — a full scan per round would dominate the planner.
   const double top = rank_table.front().rank;
-  if (top <= 0.0) return plan;
+  if (top <= 0.0) return;
   const double t1 = top * options.t1_fraction_of_top;
 
   for (const auto& entry : rank_table) {
@@ -52,6 +53,13 @@ std::vector<ReplicaDirective> plan_replication(
     if (options.max_directives != 0 && plan.size() >= options.max_directives)
       break;
   }
+}
+
+std::vector<ReplicaDirective> plan_replication(
+    std::span<const RankEntry> rank_table, std::uint32_t num_servers,
+    const ReplicationPlanOptions& options) {
+  std::vector<ReplicaDirective> plan;
+  plan_replication(rank_table, num_servers, options, plan);
   return plan;
 }
 

@@ -49,8 +49,16 @@ struct ReplicationPlanOptions {
   std::size_t max_directives = 0;
 };
 
-/// Algorithm 3 steps (i)-(ii): produces replica directives for the current
-/// rank table. Directives are ordered hottest-first.
+/// Algorithm 3 steps (i)-(ii): replaces `plan` with the replica
+/// directives for the current rank table, hottest-first. `plan` keeps its
+/// capacity, so a caller that reuses it plans every round without
+/// allocating.
+void plan_replication(std::span<const RankEntry> rank_table,
+                      std::uint32_t num_servers,
+                      const ReplicationPlanOptions& options,
+                      std::vector<ReplicaDirective>& plan);
+
+/// The same plan in a fresh vector.
 std::vector<ReplicaDirective> plan_replication(
     std::span<const RankEntry> rank_table, std::uint32_t num_servers,
     const ReplicationPlanOptions& options = {});

@@ -350,31 +350,31 @@ std::string slo_body(const ShardedFrontend& fe, std::uint32_t serving) {
 }
 
 /// Replays the workload against `port`. `load_threads` generators (0 =
-/// one per shard) split the request budget and the connections, the
-/// remainder of each going to the first; that one runs on the calling
-/// thread, and when it is the only one its result is returned as is.
+/// one per shard) split the connections and the request budget
+/// (split_load); the first runs on the calling thread, and when it is the
+/// only one its result is returned as is.
 LoadGenResult replay(const trace::Workload& eval, const LiveConfig& config,
                      std::uint16_t port, std::uint32_t shards) {
+  LoadGenOptions whole;
+  whole.port = port;
+  whole.concurrency = config.concurrency;
+  whole.total_requests = config.requests;
+  whole.pipeline_depth = config.pipeline_depth;
+  whole.open_loop = config.open_loop;
+  whole.time_scale = config.time_scale;
+  whole.idle_timeout_us = config.idle_timeout_us;
   const std::size_t total_requests =
       config.requests > 0 ? config.requests : eval.requests.size();
   const std::size_t threads = std::clamp<std::size_t>(
       config.load_threads == 0 ? shards : config.load_threads, 1,
       std::max<std::size_t>(1, std::min(total_requests, config.concurrency)));
+  if (threads == 1) return LoadGenerator(eval, whole).run();
   const auto slice = [&](std::size_t t) {
-    LoadGenOptions lg;
-    lg.port = port;
-    lg.concurrency = config.concurrency / threads +
-                     (t == 0 ? config.concurrency % threads : 0);
-    lg.total_requests =
-        total_requests / threads + (t == 0 ? total_requests % threads : 0);
-    lg.pipeline_depth = config.pipeline_depth;
-    lg.open_loop = config.open_loop;
-    lg.time_scale = config.time_scale;
-    lg.idle_timeout_us = config.idle_timeout_us;
+    const LoadGenOptions lg = split_load(eval, whole, t, threads);
+    if (lg.total_requests == 0) return LoadGenResult{};
     LoadGenerator gen(eval, lg);
     return gen.run();
   };
-  if (threads == 1) return slice(0);
 
   // A single generator thread saturates near one core and would become
   // the bottleneck it is supposed to create.

@@ -49,9 +49,10 @@ struct LiveConfig {
   /// Allow SO_REUSEPORT (kernel-spread accepts). When off or unsupported,
   /// shard 0 accepts everything and round-robins fds to its peers.
   bool reuseport = true;
-  /// Load-generator threads, splitting the request budget and the
-  /// connections (the remainders go to the first, which runs on the
-  /// calling thread). 0 = one per shard.
+  /// Load-generator threads. Each drives its own share of the
+  /// connections, and so of the trace's connections, and issues the share
+  /// of the request budget those hold (net::split_load); the first runs
+  /// on the calling thread. 0 = one per shard.
   std::size_t load_threads = 1;
 
   /// Synthetic workload (ignored when `clf_path` is set).

@@ -3,9 +3,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <chrono>
+#include <stdexcept>
 
 namespace prord::net {
 namespace {
@@ -27,18 +29,54 @@ LoadGenerator::LoadGenerator(const trace::Workload& workload,
   if (options_.pipeline_depth == 0) options_.pipeline_depth = 1;
   if (options_.time_scale <= 0) options_.time_scale = 1.0;
 
+  const std::size_t total = options_.total_channels
+                                ? options_.total_channels
+                                : options_.concurrency;
   channels_.resize(options_.concurrency);
+  std::size_t planned = 0;
   for (std::size_t i = 0; i < workload_.requests.size(); ++i) {
-    const std::size_t ch =
-        workload_.requests[i].conn % options_.concurrency;
-    channels_[ch].plan.push_back(i);
+    const std::size_t ch = workload_.requests[i].conn % total;
+    if (ch < options_.first_channel ||
+        ch - options_.first_channel >= options_.concurrency)
+      continue;  // another generator's connection
+    channels_[ch - options_.first_channel].plan.push_back(i);
+    ++planned;
   }
   // Channels that drew no trace connection stay idle; effective
   // concurrency is min(concurrency, distinct trace connections).
   std::erase_if(channels_, [](const Channel& c) { return c.plan.empty(); });
 
-  budget_ = options_.total_requests ? options_.total_requests
-                                    : workload_.requests.size();
+  budget_ = options_.total_requests ? options_.total_requests : planned;
+}
+
+LoadGenOptions split_load(const trace::Workload& workload,
+                          const LoadGenOptions& whole, std::size_t t,
+                          std::size_t threads) {
+  if (t >= threads)
+    throw std::invalid_argument("split_load: generator index out of range");
+  const std::size_t channels = std::max<std::size_t>(1, whole.concurrency);
+  const std::size_t share = channels / threads;
+  const std::size_t lo = t == 0 ? 0 : share * t + channels % threads;
+  LoadGenOptions slice = whole;
+  slice.first_channel = lo;
+  slice.concurrency = share + (t == 0 ? channels % threads : 0);
+  slice.total_channels = channels;
+  // The budget follows the trace: slice t gets the requests of channels
+  // below its end minus those below its start, each scaled by
+  // budget/trace size and floored, so the shares telescope to the budget
+  // and a one-pass budget gives every slice exactly its own requests.
+  const std::size_t n = workload.requests.size();
+  const std::size_t budget = whole.total_requests ? whole.total_requests : n;
+  const auto below = [&](std::size_t end) -> std::size_t {
+    if (n == 0) return 0;
+    std::size_t count = 0;
+    for (const trace::Request& req : workload.requests)
+      count += req.conn % channels < end;
+    // floor(budget * count / n) without overflowing the product.
+    return budget / n * count + budget % n * count / n;
+  };
+  slice.total_requests = below(lo + slice.concurrency) - below(lo);
+  return slice;
 }
 
 bool LoadGenerator::send_next(Channel& ch, std::int64_t now_us) {

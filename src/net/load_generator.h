@@ -33,7 +33,15 @@ namespace prord::net {
 struct LoadGenOptions {
   std::uint16_t port = 0;            ///< distributor port
   std::size_t concurrency = 16;      ///< parallel channels
-  std::size_t total_requests = 0;    ///< 0 = one pass over the workload
+  /// Split replays (see split_load): this generator drives channels
+  /// [first_channel, first_channel + concurrency) of `total_channels`
+  /// (0 = concurrency). Trace connection c rides channel
+  /// c % total_channels, so generators with disjoint channel ranges replay
+  /// disjoint connections.
+  std::size_t first_channel = 0;
+  std::size_t total_channels = 0;
+  /// 0 = one pass over this generator's trace connections.
+  std::size_t total_requests = 0;
   std::size_t pipeline_depth = 1;    ///< closed-loop outstanding cap
   bool open_loop = false;
   double time_scale = 1.0;           ///< open loop: arrival compression
@@ -56,6 +64,18 @@ struct LoadGenResult {
     return duration_s > 0 ? static_cast<double>(completed) / duration_s : 0.0;
   }
 };
+
+/// Options for generator `t` of `threads` that together replay what one
+/// generator with `whole` would: each drives its own block of `whole`'s
+/// channels — so its own trace connections, at their own arrival times —
+/// and issues the share of the request budget its connections hold in the
+/// trace. Channel remainders go to generator 0. `whole.total_requests` 0
+/// means one pass, as for a single generator. The slice's budget is always
+/// explicit; a slice whose share is 0 has nothing to issue and must not
+/// run (its 0 would read as one pass).
+LoadGenOptions split_load(const trace::Workload& workload,
+                          const LoadGenOptions& whole, std::size_t t,
+                          std::size_t threads);
 
 class LoadGenerator {
  public:

@@ -321,14 +321,14 @@ void Prord::run_replication_round(cluster::Cluster& cluster) {
   // table's front, and the loop breaks at the directive cap or the
   // min_rank floor), so a bounded top-k selection sees the exact rows the
   // full sort would hand it — without rebuilding and sorting the whole
-  // table every interval. rank_scratch_ is reused across rounds.
+  // table every interval.
   model_->popularity().top_rank_table(now, plan_opts.max_directives,
                                       rank_scratch_);
-  const auto plan =
-      logmining::plan_replication(rank_scratch_, cluster.size(), plan_opts);
+  logmining::plan_replication(rank_scratch_.rows, cluster.size(), plan_opts,
+                              plan_scratch_);
 
   std::size_t pushes = 0;
-  for (const auto& directive : plan) {
+  for (const auto& directive : plan_scratch_) {
     if (pushes >= options_.max_replication_pushes) break;
     const trace::FileId file = directive.file;
     const std::uint32_t bytes = files_.size_bytes(file);
@@ -342,11 +342,14 @@ void Prord::run_replication_round(cluster::Cluster& cluster) {
     }
     if (directive.tier == logmining::ReplicaTier::kNoChange) continue;
 
-    // Push replicas to the least-loaded back-ends that lack the file.
-    auto& holders = replicated_[file];
+    // Push replicas to the least-loaded back-ends that lack the file. The
+    // registry entry is only made for a file that gets pushed: an empty one
+    // would route exactly like a missing one.
     std::uint32_t have = 0;
     for (ServerId s = 0; s < cluster.size(); ++s)
       have += cluster.backend(s).caches(file);
+    if (have >= directive.target_replicas) continue;
+    auto& holders = replicated_[file];
     while (have < directive.target_replicas &&
            pushes < options_.max_replication_pushes) {
       ServerId best = cluster::kNoServer;

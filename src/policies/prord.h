@@ -165,9 +165,11 @@ class Prord final : public DistributionPolicy {
   /// Per-connection navigation history (main pages) for prediction.
   std::unordered_map<std::uint32_t, std::vector<trace::FileId>> conn_history_;
   std::optional<sim::PeriodicTask> replication_task_;
-  /// Reused top-k buffer for the periodic planner (hot path: one
-  /// replication round per interval for the whole run).
-  std::vector<logmining::RankEntry> rank_scratch_;
+  /// Buffers the periodic planner reuses round after round, so a round
+  /// allocates nothing. rank_scratch_ also carries the last round's top-k,
+  /// so the next round re-ranks only it and the files hit since.
+  logmining::TopRankScratch rank_scratch_;
+  std::vector<logmining::ReplicaDirective> plan_scratch_;
 
   /// Adaptation observer (adapt::AdaptiveController); null when the
   /// online loop is off.

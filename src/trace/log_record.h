@@ -16,6 +16,11 @@ namespace prord::trace {
 /// Dense file identifier assigned by FileTable::intern.
 using FileId = std::uint32_t;
 inline constexpr FileId kInvalidFile = 0xFFFFFFFFu;
+/// Largest id a FileId-indexed table (cache index, popularity tracker)
+/// grows to hold. FileTable ids are dense from 0, so real traces sit far
+/// below it; larger ids (kInvalidFile among them) are never stored, which
+/// bounds what a stray or corrupt id can make such a table allocate.
+inline constexpr FileId kMaxDenseFileId = (1u << 24) - 1;
 
 /// One request line from a web-server access log.
 struct LogRecord {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/rng.h"
 
 namespace prord::cluster {
@@ -183,6 +185,70 @@ TEST(Cache, ByteAccountingInvariant) {
   (void)expected_demand;
   (void)expected_pinned;
 }
+
+// The index is a FileId-indexed table: ids far apart must behave like ids
+// next to each other, and probes of ids it never held (kInvalidFile among
+// them) must neither hit nor grow it. Ids above kMaxDenseFileId are never
+// cached, like files larger than the cache.
+class CacheSparseIds : public ::testing::TestWithParam<DemandEviction> {};
+
+TEST_P(CacheSparseIds, FarApartIdsAndInvalidProbes) {
+  MemoryCache c(1000, 400, GetParam());
+  constexpr trace::FileId kFar = 1'000'000;
+  EXPECT_FALSE(c.contains(trace::kInvalidFile));
+  EXPECT_FALSE(c.lookup(trace::kInvalidFile));
+  c.erase(trace::kInvalidFile);
+  c.erase_pinned(kFar);
+  EXPECT_EQ(c.num_files(), 0u);
+  EXPECT_EQ(c.stats().misses, 1u);
+
+  c.insert_demand(0, 300);
+  c.insert_demand(kFar, 300);
+  EXPECT_TRUE(c.lookup(0));
+  EXPECT_TRUE(c.lookup(kFar));
+  EXPECT_FALSE(c.contains(kFar - 1));
+  EXPECT_FALSE(c.contains(kFar + 1));
+  c.insert_demand(trace::kInvalidFile, 100);
+  EXPECT_FALSE(c.insert_pinned(trace::kInvalidFile, 100));
+  c.insert_demand(trace::kMaxDenseFileId + 1, 100);
+  EXPECT_FALSE(c.contains(trace::kInvalidFile));
+  EXPECT_FALSE(c.contains(trace::kMaxDenseFileId + 1));
+  EXPECT_EQ(c.num_files(), 2u);
+  EXPECT_EQ(c.demand_bytes(), 600u);
+
+  // Upgrade the far file to pinned, then force one demand eviction.
+  EXPECT_TRUE(c.insert_pinned(kFar, 300));
+  EXPECT_EQ(c.demand_bytes(), 300u);
+  EXPECT_EQ(c.pinned_bytes(), 300u);
+  c.insert_demand(7, 400);
+  c.insert_demand(8, 400);
+  EXPECT_EQ(c.stats().demand_evictions, 1u);
+  EXPECT_LE(c.demand_bytes(), c.demand_capacity());
+  EXPECT_EQ(c.num_files(), 3u);
+  EXPECT_TRUE(c.contains(kFar));
+  EXPECT_TRUE(c.contains(8));
+
+  c.erase(kFar);
+  EXPECT_FALSE(c.contains(kFar));
+  EXPECT_EQ(c.pinned_bytes(), 0u);
+  EXPECT_EQ(c.num_files(), 2u);
+  c.clear();
+  EXPECT_EQ(c.num_files(), 0u);
+  EXPECT_FALSE(c.contains(0));
+  EXPECT_FALSE(c.contains(8));
+  c.insert_demand(kFar, 100);
+  EXPECT_TRUE(c.lookup(kFar));
+  EXPECT_EQ(c.num_files(), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Eviction, CacheSparseIds,
+                         ::testing::Values(DemandEviction::kLru,
+                                           DemandEviction::kGdsf),
+                         [](const auto& info) {
+                           return info.param == DemandEviction::kLru
+                                      ? std::string("Lru")
+                                      : std::string("Gdsf");
+                         });
 
 }  // namespace
 }  // namespace prord::cluster

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "logmining/replication.h"
 
@@ -56,6 +59,19 @@ TEST(Popularity, RankTableSortedDescending) {
   EXPECT_EQ(table[0].file, 20u);
   EXPECT_EQ(table[1].file, 10u);
   EXPECT_EQ(table[2].file, 30u);
+}
+
+TEST(Popularity, IdsAboveDenseCeilingAreNotTracked) {
+  PopularityTracker t(0);
+  t.record_hit(trace::kInvalidFile, 0);
+  t.record_hit(trace::kMaxDenseFileId + 1, 0);
+  std::vector<trace::Request> reqs(2);  // file defaults to kInvalidFile
+  t.seed(reqs);
+  EXPECT_EQ(t.num_files(), 0u);
+  EXPECT_DOUBLE_EQ(t.rank(trace::kInvalidFile, 0), 0.0);
+  t.record_hit(1'000'000, 0);  // sparse but valid
+  EXPECT_EQ(t.num_files(), 1u);
+  EXPECT_DOUBLE_EQ(t.rank(1'000'000, 0), 1.0);
 }
 
 TEST(Popularity, RejectsNegativeHalflife) {
@@ -154,6 +170,32 @@ TEST_F(PopularityCorruptLoad, HalflifeMismatch) {
   expect_untouched();
 }
 
+TEST_F(PopularityCorruptLoad, FileIdAboveDenseCeiling) {
+  // The dense table is sized from the largest id, so a stream naming an
+  // id past the ceiling (kInvalidFile among them) is rejected before
+  // anything is sized.
+  for (const std::uint64_t id :
+       {std::uint64_t{trace::kMaxDenseFileId} + 1,
+        std::uint64_t{trace::kInvalidFile} - 1,
+        std::uint64_t{trace::kInvalidFile}}) {
+    std::stringstream ss("popularity 60000000 1\n" + std::to_string(id) +
+                         " 4607182418800017408 0\nend\n");
+    EXPECT_FALSE(tracker_.load(ss)) << id;
+    expect_untouched();
+  }
+}
+
+TEST_F(PopularityCorruptLoad, CountersNoTrackerHolds) {
+  // NaN, a negative count, and a stamp before time 0.
+  for (const char* row : {"5 9221120237041090560 0", "5 13830554455654793216 0",
+                          "5 4607182418800017408 -1"}) {
+    std::stringstream ss(std::string("popularity 60000000 1\n") + row +
+                         "\nend\n");
+    EXPECT_FALSE(tracker_.load(ss)) << row;
+    expect_untouched();
+  }
+}
+
 TEST_F(PopularityCorruptLoad, GoodStreamStillLoads) {
   PopularityTracker other(sim::sec(60.0));
   other.record_hit(9, sim::sec(2.0));
@@ -241,12 +283,12 @@ TEST(Replication, MonotoneTiersDownTheTable) {
 // selection paths rests on this.
 // ---------------------------------------------------------------------------
 
-void expect_prefix_identical(const PopularityTracker& t, sim::SimTime now,
-                             std::size_t k) {
+/// Checks one top_rank_table round into `got`, which carries whatever the
+/// caller left in it (the previous round's rows, or anything else).
+void expect_round_identical(const PopularityTracker& t, sim::SimTime now,
+                            std::size_t k, std::vector<RankEntry>& got) {
   auto expected = t.rank_table(now);
   if (expected.size() > k) expected.resize(k);
-  std::vector<RankEntry> got;
-  got.reserve(1);  // deliberately tiny: exercise mid-scan compaction
   t.top_rank_table(now, k, got);
   ASSERT_EQ(got.size(), expected.size()) << "k=" << k;
   for (std::size_t i = 0; i < got.size(); ++i) {
@@ -257,6 +299,12 @@ void expect_prefix_identical(const PopularityTracker& t, sim::SimTime now,
               std::bit_cast<std::uint64_t>(expected[i].rank))
         << "k=" << k << " row " << i;
   }
+}
+
+void expect_prefix_identical(const PopularityTracker& t, sim::SimTime now,
+                             std::size_t k) {
+  std::vector<RankEntry> got;
+  expect_round_identical(t, now, k, got);
 }
 
 TEST(Popularity, TopRankTableMatchesFullSortPrefix) {
@@ -282,6 +330,130 @@ TEST(Popularity, TopRankTableTieBreaksByFileId) {
     for (int i = 0; i < 3; ++i) t.record_hit(f, 0);
   for (std::size_t k : {std::size_t{1}, std::size_t{10}, std::size_t{50}})
     expect_prefix_identical(t, sim::sec(10.0), k);
+}
+
+// Rounds as the replication planner runs them, through both entry points:
+// a plain buffer carried from round to round (its rows bar the next scan)
+// and a TopRankScratch (whose rounds re-rank only last round's rows and
+// the files hit since). Hits land between rounds, and `now` advances,
+// repeats or steps back before the latest stamps. Mixed in: no decay,
+// decay fast enough to drive ranks subnormal, bursts of hits that overrun
+// the hit journal, age(), seed(), save/load round trips into a copy, a
+// changing k, and plain buffers holding duplicates or ids from elsewhere.
+// Every round must bit-compare to the full sort's prefix.
+TEST(Popularity, TopRankTableFuzzAcrossRounds) {
+  std::mt19937_64 rng(20261019);
+  for (int trial = 0; trial < 24; ++trial) {
+    const sim::SimTime halflife =
+        trial % 4 == 0 ? 0
+                       : sim::sec(trial % 4 == 1 ? 1.0 : 1.0 + rng() % 900);
+    PopularityTracker t(halflife);
+    const auto files = 1 + rng() % 300;
+    const auto file = [&] {
+      // Skewed, so a hot head and a long cold tail both exist.
+      const auto r = rng() % files;
+      return static_cast<trace::FileId>(r * r / files);
+    };
+    std::vector<RankEntry> got;
+    TopRankScratch scratch;
+    sim::SimTime now = 0, latest_hit = 0;
+    for (int round = 0; round < 60; ++round) {
+      // Every 20th round overruns the hit journal.
+      const int hits =
+          round % 20 == 19
+              ? static_cast<int>(PopularityTracker::kHitJournal) + 50
+              : static_cast<int>(rng() % 200);
+      for (int i = 0; i < hits; ++i) {
+        // Mostly at or just before `now`; sometimes after it.
+        const auto jitter = static_cast<sim::SimTime>(rng() % sim::sec(30.0));
+        const sim::SimTime at = rng() % 8 == 0
+                                    ? now + jitter
+                                    : std::max<sim::SimTime>(0, now - jitter);
+        t.record_hit(file(), at);
+        latest_hit = std::max(latest_hit, at);
+      }
+      switch (rng() % 10) {
+        case 0:
+          break;  // repeated now
+        case 1:
+          now = std::max<sim::SimTime>(
+              0, now - static_cast<sim::SimTime>(rng() % sim::sec(90.0)));
+          break;
+        case 2:
+          // A long quiet spell: with short halflives the ranks of files
+          // not hit since turn subnormal or zero.
+          now += sim::sec(1500.0);
+          break;
+        default:
+          now += static_cast<sim::SimTime>(rng() % sim::sec(120.0));
+      }
+      switch (rng() % 24) {
+        case 0:
+          t.age(0.05 + 0.95 * static_cast<double>(rng() % 1000) / 1000.0);
+          break;
+        case 1: {
+          std::vector<trace::Request> reqs(rng() % 50);
+          for (auto& r : reqs) r.file = file();
+          t.seed(reqs);
+          break;
+        }
+        case 2: {
+          std::stringstream ss;
+          t.save(ss);
+          PopularityTracker loaded(halflife);
+          ASSERT_TRUE(loaded.load(ss));
+          t = loaded;
+          break;
+        }
+        case 3: {
+          // Plain buffers that are no previous selection: the hottest
+          // file repeated (a bar too high for k files to reach), and ids
+          // the tracker never saw.
+          const auto table = t.rank_table(now);
+          got.assign(300, RankEntry{table.empty() ? 0 : table.front().file,
+                                    1.0});
+          break;
+        }
+        case 4:
+          got.assign(40, RankEntry{trace::kInvalidFile, 5.0});
+          break;
+        default:
+          break;
+      }
+      const std::size_t ks[] = {1, 2, 7, 32, 256, files, files + 5};
+      const std::size_t k = round % 5 == 4 ? ks[rng() % 7] : 32;
+      SCOPED_TRACE(::testing::Message() << "trial " << trial << " round "
+                                        << round << " now " << now);
+      expect_round_identical(t, now, k, got);
+      auto expected = t.rank_table(now);
+      if (expected.size() > k) expected.resize(k);
+      t.top_rank_table(now, k, scratch);
+      ASSERT_EQ(scratch.rows.size(), expected.size()) << "k=" << k;
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(scratch.rows[i].file, expected[i].file) << "row " << i;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(scratch.rows[i].rank),
+                  std::bit_cast<std::uint64_t>(expected[i].rank))
+            << "row " << i;
+      }
+      // The bound the next scratch round relies on: no file outside the
+      // rows has a key (log2 rank + now/halflife, once `now` is past every
+      // stamp) above runner_up.
+      if (now < latest_hit || scratch.rows.size() < k) continue;
+      const double scale =
+          halflife ? static_cast<double>(now) / static_cast<double>(halflife)
+                   : 0.0;
+      std::vector<bool> selected(files + 1);
+      for (const RankEntry& row : scratch.rows) selected[row.file] = true;
+      for (const RankEntry& row : expected.size() < k ? expected
+                                                      : t.rank_table(now)) {
+        if (selected[row.file] || row.rank < 0x1p-900) continue;
+        EXPECT_LE(std::log2(row.rank) + scale,
+                  scratch.runner_up +
+                      1e-9 * (4 + std::abs(scratch.runner_up) + scale))
+            << "file " << row.file;
+      }
+    }
+  }
 }
 
 TEST(Popularity, TopRankTableLegacySwitchSameBytes) {
