@@ -2,9 +2,9 @@
 //
 // Runs the full loopback cluster (net::run_live) at each
 // requested shard count on one port, records wall-clock req/s and
-// latency percentiles per shard count into a BENCH_live.json perf
-// report (docs/perf_schema.json, schema v2: every scenario carries its
-// `shards`), and gates CI on the 4-vs-1-shard throughput ratio.
+// latency percentiles per shard count into a BENCH_live_scale.json perf
+// report (docs/perf_schema.json: every scenario carries its `shards`),
+// and gates CI on the 4-vs-1-shard throughput ratio.
 //
 // The gate auto-skips when the host has fewer cores than the gated
 // shard count — a 4-shard front end cannot beat 1 shard on a 1-core
@@ -151,7 +151,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "[bench_live_scale] %s...\n", name.c_str());
     core::PerfScenario s;
     s.name = name;
-    s.mode = shards == 1 ? "baseline" : "optimized";
     s.shards = shards;
     s.t_start_ms = core::unix_now_ms();
     const net::LiveRunResult result =
@@ -198,7 +197,7 @@ int main(int argc, char** argv) {
   }
 
   report.generated_unix_ms = core::unix_now_ms();
-  const std::string path = opts.out_dir + "/BENCH_live.json";
+  const std::string path = opts.out_dir + "/BENCH_live_scale.json";
   if (!core::write_perf_report(report, path)) return 1;
   std::fprintf(stderr, "[bench_live_scale] wrote %s\n", path.c_str());
 

@@ -1,37 +1,37 @@
-// Hot-path perf harness: the gate behind BENCH_sim.json / BENCH_live.json.
+// Hot-path perf harness: the producer of BENCH_sim.json / BENCH_live.json.
 //
 // Unlike the figure benches (which reproduce paper *results*), this binary
-// measures the simulator itself. Each pinned scenario runs twice:
-//   optimized — the production configuration (timing-wheel event queue,
-//               inline callables, pooled events/records, batched metrics);
-//   baseline  — the pre-optimization hot path, recreated via the runtime
-//               switches those subsystems keep for exactly this purpose
-//               (heap-reference queue, std::function-style boxed callables,
-//               pool bypass, write-through metrics).
-// Results are byte-identical across modes (the determinism suite enforces
-// it); only the wall clock differs. The report records events/sec, req/s,
-// p50/p99 response times, and allocations/event from the counting
-// allocator below, plus optimized/baseline speedup ratios. CI runs this
-// with --min-fig8-speedup as a regression gate and uploads the JSON
-// artifacts (docs/PERF.md).
+// measures the simulator and the live loopback cluster themselves. Each
+// pinned scenario runs once. The report records events/sec, req/s, p50/p99
+// response times, and allocations from the counting allocator below.
+//
+// Gates (docs/PERF.md):
+//   --pin=PATH               every sim scenario of the BENCH_sim.json at
+//                            PATH must reproduce its sim_events exactly and
+//                            stay at or below its allocations. Both counts
+//                            are deterministic, so the gate cannot flake.
+//   --max-trace-overhead=F   live req/s lost to 1% tracing, at most F.
+//   --min-prefetch-hit-gain=X  live worker hit rate, prefetch on / off.
+// A set gate fails when its ratio cannot be measured (a live cell that
+// served nothing). Exit codes: 0 pass, 1 gate failure, 2 usage error.
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <new>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/experiment.h"
 #include "core/perf_report.h"
-#include "logmining/popularity.h"
 #include "net/live_cluster.h"
-#include "simcore/event_queue.h"
 #include "trace/models.h"
-#include "util/inplace_function.h"
-#include "util/pool.h"
+#include "util/json.h"
 #include "zoo/scenario_registry.h"
 
 // ---------------------------------------------------------------------------
@@ -164,34 +164,11 @@ net::LiveConfig live_config() {
   return config;
 }
 
-enum class Mode { kOptimized, kBaseline };
-
-const char* mode_name(Mode m) {
-  return m == Mode::kOptimized ? "optimized" : "baseline";
-}
-
-/// Flips every hot-path subsystem to the requested implementation.
-/// Baseline recreates the pre-optimization stack; optimized restores the
-/// production defaults. Only called between runs — the switches are
-/// documented as unsafe to flip mid-simulation.
-void apply_mode(Mode m) {
-  const bool legacy = m == Mode::kBaseline;
-  sim::set_default_queue_impl(legacy ? sim::QueueImpl::kHeapReference
-                                     : sim::QueueImpl::kBucketed);
-  util::set_legacy_callable_boxing(legacy);
-  util::set_pool_bypass(legacy);
-  logmining::set_legacy_rank_selection(legacy);
-}
-
-core::PerfScenario run_sim_scenario(const std::string& name, Mode mode,
-                                    core::ExperimentConfig config) {
-  apply_mode(mode);
-  config.obs.batch_metrics = mode == Mode::kOptimized;
-
+core::PerfScenario run_sim_scenario(const std::string& name,
+                                    const core::ExperimentConfig& config) {
   core::PerfScenario s;
   s.name = name;
-  s.mode = mode_name(mode);
-  std::fprintf(stderr, "[bench_perf] %s (%s)...\n", name.c_str(), s.mode.c_str());
+  std::fprintf(stderr, "[bench_perf] %s...\n", name.c_str());
 
   const std::uint64_t allocs0 = g_heap_allocs.load(std::memory_order_relaxed);
   s.t_start_ms = core::unix_now_ms();
@@ -206,8 +183,7 @@ core::PerfScenario run_sim_scenario(const std::string& name, Mode mode,
   s.sim_wall_seconds = result.sim_wall_seconds;
   s.sim_events = result.sim_events;
   // Events/sec over the sim loop only: setup (site/trace generation,
-  // offline mining) is identical in both modes and would dilute the
-  // optimized/baseline ratio toward 1x.
+  // offline mining) would dilute the hot-path rate.
   s.events_per_sec = s.sim_wall_seconds > 0
                          ? static_cast<double>(s.sim_events) /
                                s.sim_wall_seconds
@@ -222,7 +198,6 @@ core::PerfScenario run_sim_scenario(const std::string& name, Mode mode,
       s.sim_events ? static_cast<double>(s.allocations) /
                          static_cast<double>(s.sim_events)
                    : 0.0;
-  apply_mode(Mode::kOptimized);
   return s;
 }
 
@@ -231,10 +206,8 @@ core::PerfScenario run_sim_scenario(const std::string& name, Mode mode,
 /// live_tracing_rps_ratio gate (docs/OBSERVABILITY.md).
 core::PerfScenario run_live_scenario(const std::string& name,
                                      double trace_sample_rate) {
-  apply_mode(Mode::kOptimized);
   core::PerfScenario s;
   s.name = name;
-  s.mode = "optimized";
   s.shards = 1;  // run_live is always a single distributor shard
   std::fprintf(stderr, "[bench_perf] %s...\n", name.c_str());
 
@@ -297,11 +270,9 @@ struct LivePrefetchCell {
 
 LivePrefetchCell run_live_prefetch_cell(const std::string& name,
                                         bool prefetch_on) {
-  apply_mode(Mode::kOptimized);
   LivePrefetchCell cell;
   core::PerfScenario& s = cell.scenario;
   s.name = name;
-  s.mode = "optimized";
   s.shards = 1;
   std::fprintf(stderr, "[bench_perf] %s...\n", name.c_str());
 
@@ -341,39 +312,89 @@ LivePrefetchCell run_live_prefetch_cell(const std::string& name,
 
 struct Options {
   std::string out_dir = ".";
-  double min_fig8_speedup = 0.0;
-  /// Max allowed live req/s loss at 1% trace sampling (0 = report only).
-  double max_trace_overhead = 0.0;
-  /// Min required cache-hit-rate ratio, prefetch on / off (0 = report
-  /// only). 1.0 asserts "prefetch never hurts"; CI stays report-only
-  /// because a loaded runner can starve the paced open loop.
-  double min_prefetch_hit_gain = 0.0;
+  /// Parsed BENCH_sim.json to pin the sim counters to. Read before any
+  /// report is written, so --out-dir may overwrite the pinned file.
+  std::optional<util::JsonValue> pin;
+  /// Max share of live req/s that 1% trace sampling may cost.
+  std::optional<double> max_trace_overhead;
+  /// Min cache-hit-rate ratio, prefetch on / off. 1.0 asserts "prefetch
+  /// never hurts"; CI stays report-only because a loaded runner can
+  /// starve the paced open loop.
+  std::optional<double> min_prefetch_hit_gain;
   bool skip_live = false;
 };
+
+/// Strict flag value: a whole finite number >= 0, nothing after it.
+std::optional<double> parse_bound(std::string_view flag,
+                                  std::string_view text) {
+  const std::string value(text);
+  char* end = nullptr;
+  const double v = std::strtod(value.c_str(), &end);
+  if (value.empty() || *end != '\0' || !std::isfinite(v) || v < 0) {
+    std::fprintf(stderr,
+                 "bench_perf: %.*s needs a number >= 0, got '%s'\n",
+                 static_cast<int>(flag.size()), flag.data(), value.c_str());
+    return std::nullopt;
+  }
+  return v;
+}
+
+std::optional<util::JsonValue> load_pin(std::string_view path) {
+  std::ifstream in{std::string(path), std::ios::binary};
+  if (!in) {
+    std::fprintf(stderr, "bench_perf: --pin: cannot read '%.*s'\n",
+                 static_cast<int>(path.size()), path.data());
+    return std::nullopt;
+  }
+  std::stringstream text;
+  text << in.rdbuf();
+  try {
+    return util::json_parse(text.str());
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_perf: --pin: %.*s: %s\n",
+                 static_cast<int>(path.size()), path.data(), e.what());
+    return std::nullopt;
+  }
+}
 
 bool parse_flags(int argc, char** argv, Options& opts) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    if (arg.rfind("--out-dir=", 0) == 0) {
-      opts.out_dir = std::string(arg.substr(10));
-    } else if (arg.rfind("--min-fig8-speedup=", 0) == 0) {
-      opts.min_fig8_speedup = std::atof(arg.substr(19).data());
-    } else if (arg == "--skip-live") {
+    const std::size_t eq = arg.find('=');
+    const std::string_view flag = arg.substr(0, eq);
+    const std::string_view value =
+        eq == std::string_view::npos ? std::string_view{} : arg.substr(eq + 1);
+    if (arg == "--skip-live") {
       opts.skip_live = true;
-    } else if (arg.rfind("--max-trace-overhead=", 0) == 0) {
-      opts.max_trace_overhead = std::atof(arg.substr(21).data());
-    } else if (arg.rfind("--min-prefetch-hit-gain=", 0) == 0) {
-      opts.min_prefetch_hit_gain = std::atof(arg.substr(24).data());
     } else if (arg == "--help" || arg == "-h") {
       std::fprintf(stderr,
-                   "usage: bench_perf [--out-dir=DIR] "
-                   "[--min-fig8-speedup=X] [--max-trace-overhead=F] "
-                   "[--min-prefetch-hit-gain=X] [--skip-live]\n");
+                   "usage: bench_perf [--out-dir=DIR] [--pin=BENCH_sim.json] "
+                   "[--max-trace-overhead=F] [--min-prefetch-hit-gain=X] "
+                   "[--skip-live]\n");
       return false;
+    } else if (eq == std::string_view::npos) {
+      std::fprintf(stderr, "bench_perf: unknown flag '%s'\n", argv[i]);
+      return false;
+    } else if (flag == "--out-dir") {
+      opts.out_dir = std::string(value);
+    } else if (flag == "--pin") {
+      if (!(opts.pin = load_pin(value))) return false;
+    } else if (flag == "--max-trace-overhead") {
+      if (!(opts.max_trace_overhead = parse_bound(flag, value))) return false;
+    } else if (flag == "--min-prefetch-hit-gain") {
+      if (!(opts.min_prefetch_hit_gain = parse_bound(flag, value)))
+        return false;
     } else {
       std::fprintf(stderr, "bench_perf: unknown flag '%s'\n", argv[i]);
       return false;
     }
+  }
+  if (opts.skip_live &&
+      (opts.max_trace_overhead || opts.min_prefetch_hit_gain)) {
+    std::fprintf(stderr,
+                 "bench_perf: the live gates need the live run; drop "
+                 "--skip-live\n");
+    return false;
   }
   return true;
 }
@@ -402,28 +423,16 @@ int main(int argc, char** argv) {
   core::PerfReport sim_report;
   sim_report.suite = "sim";
   sim_report.git_sha = sha;
-  double fig8_speedup = 0.0;
   for (const SimCase& c : kSimCases) {
-    // Optimized first, baseline second, speedup from the same process so
-    // machine noise cancels as much as it can.
-    core::PerfScenario opt =
-        run_sim_scenario(c.name, Mode::kOptimized, c.config());
-    core::PerfScenario base =
-        run_sim_scenario(c.name, Mode::kBaseline, c.config());
-    const double speedup = base.events_per_sec > 0
-                               ? opt.events_per_sec / base.events_per_sec
-                               : 0.0;
-    if (std::string_view(c.name) == "fig8_memory_sweep")
-      fig8_speedup = speedup;
+    core::PerfScenario s = run_sim_scenario(c.name, c.config());
     std::fprintf(stderr,
-                 "[bench_perf] %s: %.0f vs %.0f events/s (%.2fx), "
-                 "%.2f vs %.2f allocs/event\n",
-                 c.name, opt.events_per_sec, base.events_per_sec, speedup,
-                 opt.allocations_per_event, base.allocations_per_event);
-    sim_report.scenarios.push_back(std::move(opt));
-    sim_report.scenarios.push_back(std::move(base));
-    sim_report.speedups.push_back(
-        {std::string(c.name) + "_events_per_sec_speedup", speedup});
+                 "[bench_perf] %s: %llu events, %.0f events/s, %llu "
+                 "allocations (%.2f/event)\n",
+                 c.name, static_cast<unsigned long long>(s.sim_events),
+                 s.events_per_sec,
+                 static_cast<unsigned long long>(s.allocations),
+                 s.allocations_per_event);
+    sim_report.scenarios.push_back(std::move(s));
   }
   sim_report.generated_unix_ms = core::unix_now_ms();
   std::error_code ec;
@@ -431,6 +440,16 @@ int main(int argc, char** argv) {
   const std::string sim_path = opts.out_dir + "/BENCH_sim.json";
   if (!core::write_perf_report(sim_report, sim_path)) return 1;
   std::fprintf(stderr, "[bench_perf] wrote %s\n", sim_path.c_str());
+
+  bool failed = false;
+  if (opts.pin) {
+    const auto violations = core::pin_violations(*opts.pin, sim_report);
+    for (const std::string& v : violations)
+      std::fprintf(stderr, "[bench_perf] FAIL: pin: %s\n", v.c_str());
+    if (violations.empty())
+      std::fprintf(stderr, "[bench_perf] pin: sim counters match\n");
+    failed = !violations.empty();
+  }
 
   if (!opts.skip_live) {
     core::PerfReport live_report;
@@ -492,31 +511,23 @@ int main(int argc, char** argv) {
     const std::string live_path = opts.out_dir + "/BENCH_live.json";
     if (!core::write_perf_report(live_report, live_path)) return 1;
     std::fprintf(stderr, "[bench_perf] wrote %s\n", live_path.c_str());
-    if (opts.max_trace_overhead > 0 && trace_ratio > 0 &&
-        trace_ratio < 1.0 - opts.max_trace_overhead) {
+    // A ratio of 0 means a cell served nothing: a set gate fails on it.
+    if (opts.max_trace_overhead &&
+        (trace_ratio <= 0 || trace_ratio < 1.0 - *opts.max_trace_overhead)) {
       std::fprintf(stderr,
-                   "[bench_perf] FAIL: tracing costs %.1f%% live req/s "
-                   "(gate %.1f%%)\n",
-                   100.0 * (1.0 - trace_ratio),
-                   100.0 * opts.max_trace_overhead);
-      return 1;
+                   "[bench_perf] FAIL: tracing at 1%% keeps %.3fx of live "
+                   "req/s (gate: lose at most %.1f%%)\n",
+                   trace_ratio, 100.0 * *opts.max_trace_overhead);
+      failed = true;
     }
-    if (opts.min_prefetch_hit_gain > 0 && hit_gain > 0 &&
-        hit_gain < opts.min_prefetch_hit_gain) {
+    if (opts.min_prefetch_hit_gain &&
+        (hit_gain <= 0 || hit_gain < *opts.min_prefetch_hit_gain)) {
       std::fprintf(stderr,
                    "[bench_perf] FAIL: prefetch cache-hit gain %.3fx is "
                    "below the --min-prefetch-hit-gain gate %.3fx\n",
-                   hit_gain, opts.min_prefetch_hit_gain);
-      return 1;
+                   hit_gain, *opts.min_prefetch_hit_gain);
+      failed = true;
     }
   }
-
-  if (opts.min_fig8_speedup > 0 && fig8_speedup < opts.min_fig8_speedup) {
-    std::fprintf(stderr,
-                 "[bench_perf] FAIL: fig8 events/sec speedup %.2fx is below "
-                 "the --min-fig8-speedup gate %.2fx\n",
-                 fig8_speedup, opts.min_fig8_speedup);
-    return 1;
-  }
-  return 0;
+  return failed ? 1 : 0;
 }

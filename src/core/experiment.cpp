@@ -306,16 +306,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   if (tracer.enabled()) player_opts.tracer = &tracer;
   if (config.obs.sample_interval > 0) player_opts.sampler = &sampler;
 
-  // Batched hot-path counters: attached after the warm-up (like the tracer
-  // and sampler) so only the measured run counts. The batch owns the eight
-  // player counter families; collect_run_metrics skips them below.
-  obs::MetricBatch batch;
-  if (config.obs.metrics) {
-    player_opts.counters =
-        register_player_counters(batch, std::string(policy->name()));
-    batch.set_write_through(!config.obs.batch_metrics);
-  }
-
   // Fault injection hits only the measured run (the warm-up above played
   // on a healthy cluster). Fault times, the detector heartbeat and the
   // client back-off are trace wall-clock quantities — compress them with
@@ -406,9 +396,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   }
   if (controller) result.adapt_stats = controller->finalize_stats();
   if (config.obs.metrics) {
-    result.registry.merge(batch.registry());
     collect_run_metrics(result.registry, result.policy, result.metrics, cl,
-                        *policy, /*skip_player_counters=*/true);
+                        *policy);
     if (injector)
       collect_fault_metrics(result.registry, result.policy,
                             result.fault_stats, result.metrics);

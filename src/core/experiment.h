@@ -64,11 +64,6 @@ struct ObsOptions {
   /// Share of requests traced into ExperimentResult::spans (0 = off,
   /// 1 = every request). Sampling is a pure hash of the request index.
   double trace_sample_rate = 0.0;
-  /// Batch the player's per-request counter updates (obs::MetricBatch)
-  /// and fold them into the registry on epoch flushes. Off routes every
-  /// bump through the registry's canonical-key path immediately —
-  /// bench_perf's baseline mode. Exported bytes are identical either way.
-  bool batch_metrics = true;
 
   bool any() const noexcept {
     return metrics || sample_interval > 0 || trace_sample_rate > 0;

@@ -23,48 +23,41 @@ obs::Labels with_backend(const obs::Labels& base, std::uint32_t b) {
 void collect_run_metrics(obs::MetricRegistry& reg,
                          const std::string& policy_name, const RunMetrics& m,
                          cluster::Cluster& cluster,
-                         const policies::DistributionPolicy& policy,
-                         bool skip_player_counters) {
+                         const policies::DistributionPolicy& policy) {
   const obs::Labels p{{"policy", policy_name}};
 
-  // --- Front-end / dispatcher / run-level. The first eight families are
-  // the player's hot-path counters; when a MetricBatch owns them
-  // (register_player_counters) they arrive via its registry instead.
-  // Export bytes are unaffected by which path emits them: the registry
-  // renders from an ordered map.
-  if (!skip_player_counters) {
-    reg.set_help("prord_requests_completed_total",
-                 "Requests served to completion in the measured run");
-    reg.counter_add("prord_requests_completed_total", p,
-                    static_cast<double>(m.completed));
-    reg.set_help("prord_requests_failed_total",
-                 "Requests that exhausted every retry (fault runs)");
-    reg.counter_add("prord_requests_failed_total", p,
-                    static_cast<double>(m.failed));
-    reg.counter_add("prord_requests_retried_total", p,
-                    static_cast<double>(m.retries));
-    reg.set_help("prord_requests_redispatched_total",
-                 "Retries the front-end routed away from the failed server");
-    reg.counter_add("prord_requests_redispatched_total", p,
-                    static_cast<double>(m.redispatches));
-    reg.set_help("prord_requests_routed_total",
-                 "Requests per routing mechanism (Fig. 4 decision paths)");
-    for (unsigned v = 0; v < obs::kNumRouteVia; ++v) {
-      obs::Labels labels = p;
-      labels.emplace_back("via",
-                          obs::route_via_name(static_cast<obs::RouteVia>(v)));
-      reg.counter_add("prord_requests_routed_total", labels,
-                      static_cast<double>(m.routes_via[v]));
-    }
-    reg.set_help("prord_dispatcher_contacts_total",
-                 "Dispatcher lookups (Fig. 6's frequency of dispatches)");
-    reg.counter_add("prord_dispatcher_contacts_total", p,
-                    static_cast<double>(m.dispatches));
-    reg.counter_add("prord_tcp_handoffs_total", p,
-                    static_cast<double>(m.handoffs));
-    reg.counter_add("prord_backend_forwards_total", p,
-                    static_cast<double>(m.forwards));
+  // --- Front-end / dispatcher / run-level.
+  reg.set_help("prord_requests_completed_total",
+               "Requests served to completion in the measured run");
+  reg.counter_add("prord_requests_completed_total", p,
+                  static_cast<double>(m.completed));
+  reg.set_help("prord_requests_failed_total",
+               "Requests that exhausted every retry (fault runs)");
+  reg.counter_add("prord_requests_failed_total", p,
+                  static_cast<double>(m.failed));
+  reg.counter_add("prord_requests_retried_total", p,
+                  static_cast<double>(m.retries));
+  reg.set_help("prord_requests_redispatched_total",
+               "Retries the front-end routed away from the failed server");
+  reg.counter_add("prord_requests_redispatched_total", p,
+                  static_cast<double>(m.redispatches));
+  reg.set_help("prord_requests_routed_total",
+               "Requests per routing mechanism (Fig. 4 decision paths)");
+  for (unsigned v = 0; v < obs::kNumRouteVia; ++v) {
+    obs::Labels labels = p;
+    labels.emplace_back("via",
+                        obs::route_via_name(static_cast<obs::RouteVia>(v)));
+    reg.counter_add("prord_requests_routed_total", labels,
+                    static_cast<double>(m.routes_via[v]));
   }
+  reg.set_help("prord_dispatcher_contacts_total",
+               "Dispatcher lookups (Fig. 6's frequency of dispatches)");
+  reg.counter_add("prord_dispatcher_contacts_total", p,
+                  static_cast<double>(m.dispatches));
+  reg.counter_add("prord_tcp_handoffs_total", p,
+                  static_cast<double>(m.handoffs));
+  reg.counter_add("prord_backend_forwards_total", p,
+                  static_cast<double>(m.forwards));
   reg.gauge_set("prord_dispatcher_files_tracked", p,
                 static_cast<double>(cluster.dispatcher().num_files_tracked()));
   reg.counter_add("prord_frontend_busy_seconds", p,
@@ -226,38 +219,6 @@ void collect_adapt_metrics(obs::MetricRegistry& reg,
                "Rolling share of issued prefetches never used at run end "
                "(-1 = none issued)");
   reg.gauge_set("prord_drift_prefetch_waste", p, stats.final_prefetch_waste);
-}
-
-PlayerCounterHandles register_player_counters(obs::MetricBatch& batch,
-                                              const std::string& policy_name) {
-  const obs::Labels p{{"policy", policy_name}};
-  PlayerCounterHandles h;
-  h.batch = &batch;
-  h.completed =
-      batch.counter("prord_requests_completed_total", p,
-                    "Requests served to completion in the measured run");
-  h.failed =
-      batch.counter("prord_requests_failed_total", p,
-                    "Requests that exhausted every retry (fault runs)");
-  h.retried = batch.counter("prord_requests_retried_total", p);
-  h.redispatched = batch.counter(
-      "prord_requests_redispatched_total", p,
-      "Retries the front-end routed away from the failed server");
-  for (unsigned v = 0; v < obs::kNumRouteVia; ++v) {
-    obs::Labels labels = p;
-    labels.emplace_back("via",
-                        obs::route_via_name(static_cast<obs::RouteVia>(v)));
-    h.routed_via[v] = batch.counter(
-        "prord_requests_routed_total", std::move(labels),
-        v == 0 ? "Requests per routing mechanism (Fig. 4 decision paths)"
-               : "");
-  }
-  h.dispatched =
-      batch.counter("prord_dispatcher_contacts_total", p,
-                    "Dispatcher lookups (Fig. 6's frequency of dispatches)");
-  h.handoffs = batch.counter("prord_tcp_handoffs_total", p);
-  h.forwards = batch.counter("prord_backend_forwards_total", p);
-  return h;
 }
 
 void collect_fault_metrics(obs::MetricRegistry& reg,

@@ -20,7 +20,6 @@
 #include "core/parallel_runner.h"
 #include "core/workload_player.h"
 #include "faults/health_monitor.h"
-#include "obs/metric_batch.h"
 #include "obs/metric_registry.h"
 #include "obs/sampler.h"
 
@@ -29,22 +28,10 @@ namespace prord::core {
 /// Populates `reg` from one finished run. `policy_name` becomes the
 /// `policy` label on every series. Per-back-end series carry a `backend`
 /// label; route-mechanism counters a `via` label.
-///
-/// `skip_player_counters` omits the eight counter families the player now
-/// owns through a MetricBatch (register_player_counters below): pass true
-/// and merge batch.registry() instead — the exported bytes are identical
-/// either way, since the registry renders from an ordered map.
 void collect_run_metrics(obs::MetricRegistry& reg,
                          const std::string& policy_name, const RunMetrics& m,
                          cluster::Cluster& cluster,
-                         const policies::DistributionPolicy& policy,
-                         bool skip_player_counters = false);
-
-/// Interns the player's per-request counter series (names, help strings
-/// and label sets exactly as collect_run_metrics emits them) into `batch`
-/// and returns the handle block the player increments through.
-PlayerCounterHandles register_player_counters(obs::MetricBatch& batch,
-                                              const std::string& policy_name);
+                         const policies::DistributionPolicy& policy);
 
 /// Populates `reg` with the fault/recovery catalogue of one fault-injected
 /// run: crash/restart/detection counters, detection-latency and downtime

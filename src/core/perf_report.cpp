@@ -1,5 +1,6 @@
 #include "core/perf_report.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -11,7 +12,6 @@ namespace {
 util::JsonValue scenario_to_json(const PerfScenario& s) {
   util::JsonValue v = util::JsonValue::object();
   v.set("name", s.name);
-  v.set("mode", s.mode);
   v.set("t_start_ms", s.t_start_ms);
   v.set("t_end_ms", s.t_end_ms);
   v.set("wall_seconds", s.wall_seconds);
@@ -64,6 +64,45 @@ bool write_perf_report(const PerfReport& report, const std::string& path) {
     return false;
   }
   return true;
+}
+
+std::vector<std::string> pin_violations(const util::JsonValue& pinned,
+                                        const PerfReport& measured) {
+  std::vector<std::string> out;
+  const util::JsonValue* scenarios = pinned.find("scenarios");
+  if (!scenarios || !scenarios->is_array() || scenarios->items().empty())
+    return {"pin holds no scenarios"};
+  const auto count = [](const util::JsonValue& s, std::string_view key) {
+    const util::JsonValue* v = s.find(key);
+    return v && v->is_number() ? static_cast<std::uint64_t>(v->as_number())
+                               : std::uint64_t{0};
+  };
+  for (const util::JsonValue& pin : scenarios->items()) {
+    const util::JsonValue* name = pin.find("name");
+    const std::string label =
+        name && name->is_string() ? name->as_string() : "<unnamed>";
+    const std::uint64_t events = count(pin, "sim_events");
+    const std::uint64_t allocs = count(pin, "allocations");
+    if (events == 0 || allocs == 0) {
+      out.push_back(label + ": pinned sim_events/allocations is zero");
+      continue;
+    }
+    const auto it = std::find_if(
+        measured.scenarios.begin(), measured.scenarios.end(),
+        [&](const PerfScenario& s) { return s.name == label; });
+    if (it == measured.scenarios.end()) {
+      out.push_back(label + ": pinned scenario was not run");
+      continue;
+    }
+    if (it->sim_events != events)
+      out.push_back(label + ": sim_events " + std::to_string(it->sim_events) +
+                    " != pinned " + std::to_string(events));
+    if (it->allocations > allocs)
+      out.push_back(label + ": allocations " +
+                    std::to_string(it->allocations) + " > pinned " +
+                    std::to_string(allocs));
+  }
+  return out;
 }
 
 std::string detect_git_sha() {

@@ -1,6 +1,7 @@
 // Perf-report model for the BENCH_*.json artifacts (docs/PERF.md).
 //
-// bench_perf fills one PerfReport per suite ("sim", "live") and renders it
+// bench_perf fills one PerfReport per suite ("sim", "live";
+// bench_live_scale writes a third "live" report) and renders it
 // through util::JsonValue with a STABLE schema — docs/perf_schema.json is
 // the contract, tests/core/perf_report_schema_test.cpp enforces it, and
 // the CI perf job uploads the files so runs are comparable across
@@ -16,12 +17,11 @@
 
 namespace prord::core {
 
-inline constexpr int kPerfSchemaVersion = 2;
+inline constexpr int kPerfSchemaVersion = 3;
 
-/// One timed scenario run (one mode of one workload).
+/// One timed scenario run.
 struct PerfScenario {
-  std::string name;  ///< e.g. "fig8_memory_sweep"
-  std::string mode;  ///< "optimized" | "baseline"
+  std::string name;  ///< e.g. "fig8_memory_sweep"; unique within a report
   /// Wall-clock bracket (unix epoch ms). Monotonic across the scenario
   /// list — the schema test checks it.
   std::uint64_t t_start_ms = 0;
@@ -41,7 +41,8 @@ struct PerfScenario {
   std::uint32_t shards = 0;
 };
 
-/// One named optimized/baseline ratio (e.g. fig8 events/sec speedup).
+/// One named ratio between two scenarios of a report (e.g. the live
+/// tracing tax, traced / untraced req/s).
 struct PerfRatio {
   std::string name;
   double value = 0.0;
@@ -64,6 +65,15 @@ std::string render_perf_report(const PerfReport& report);
 
 /// Writes the report to `path`; false (with a stderr note) on I/O failure.
 bool write_perf_report(const PerfReport& report, const std::string& path);
+
+/// The pin gate on a sim report's deterministic counters: for every
+/// scenario of `pinned` (a parsed BENCH_sim.json), `measured` must hold a
+/// scenario of the same name whose sim_events equal the pinned count and
+/// whose allocations do not exceed it. A missing scenario, a pinned count
+/// of zero or a pin with no scenarios is a violation too. Returns one
+/// line per violation; empty means the gate passes.
+std::vector<std::string> pin_violations(const util::JsonValue& pinned,
+                                        const PerfReport& measured);
 
 /// Commit id for the report: $GITHUB_SHA, else $PRORD_GIT_SHA, else
 /// `git rev-parse HEAD`, else "unknown".

@@ -64,8 +64,7 @@ struct PlayerState {
 
   RunMetrics metrics{};
   bool first_issue_seen = false;
-  sim::SimTime base = 0;        ///< sim time when this play started
-  sim::SimTime next_flush = 0;  ///< next batched-counter flush time
+  sim::SimTime base = 0;  ///< sim time when this play started
 
   sim::SimTime scaled(sim::SimTime t) const {
     // External logs rebased on their first *parsed* record can carry small
@@ -78,21 +77,6 @@ struct PlayerState {
   /// completed + failed: every issued request ends in exactly one bucket.
   std::uint64_t settled() const {
     return metrics.completed + metrics.failed;
-  }
-
-  /// Mirrors a RunMetrics counter bump into the batch, when attached.
-  void count(obs::MetricBatch::Handle h) {
-    if (options.counters.batch) options.counters.batch->add(h);
-  }
-
-  /// Epoch flush for the batched counters. Piggybacks on settle callbacks
-  /// (never schedules an event, so the dispatch count stays untouched).
-  void tick_counters() {
-    auto* b = options.counters.batch;
-    if (!b || options.counter_flush_interval <= 0) return;
-    if (sim.now() < next_flush) return;
-    b->flush();
-    next_flush = sim.now() + options.counter_flush_interval;
   }
 
   /// Per-phase accounting: attribute a settled request to the workload
@@ -124,9 +108,7 @@ struct PlayerState {
   /// Ends the run once every request has settled: cancel policy periodic
   /// work, then tell the fault harness (if any) to stop its heartbeat.
   void maybe_finish() {
-    tick_counters();
     if (settled() != workload.requests.size()) return;
-    if (options.counters.batch) options.counters.batch->flush();
     policy.finish(cluster);
     if (options.on_drain) options.on_drain();
   }
@@ -178,7 +160,6 @@ void PlayerState::issue_attempt(std::size_t request_index,
     const sim::SimTime at = sim.now() + cluster.params().failure_timeout;
     if (attempt < options.max_retries) {
       ++metrics.retries;
-      count(options.counters.retried);
       const sim::SimTime backoff =
           options.retry_backoff * static_cast<sim::SimTime>(attempt + 1);
       sim.schedule_at(at + backoff,
@@ -190,7 +171,6 @@ void PlayerState::issue_attempt(std::size_t request_index,
       return;
     }
     ++metrics.failed;
-    count(options.counters.failed);
     metrics.last_completion = std::max(metrics.last_completion, at);
     account_phase(req.at, issued_at, at, /*ok=*/false, /*resident=*/false,
                   0.0);
@@ -216,7 +196,6 @@ void PlayerState::issue_attempt(std::size_t request_index,
   if (attempt > 0 && failed_on != cluster::kNoServer &&
       decision.server != failed_on) {
     ++metrics.redispatches;
-    count(options.counters.redispatched);
   }
 
   const auto& params = cluster.params();
@@ -226,7 +205,6 @@ void PlayerState::issue_attempt(std::size_t request_index,
   if (decision.contacted_dispatcher) {
     fe_service += params.fe_dispatch;
     ++metrics.dispatches;
-    count(options.counters.dispatched);
   }
   if (decision.handoff) fe_service += params.fe_handoff_cpu;
 
@@ -240,17 +218,14 @@ void PlayerState::issue_attempt(std::size_t request_index,
   if (decision.handoff) {
     extra += params.tcp_handoff;
     ++metrics.handoffs;
-    count(options.counters.handoffs);
   }
 
   const policies::ServerId home = routed.home;
   if (decision.forwarded) {
     ++metrics.forwards;
-    count(options.counters.forwards);
     extra += 2 * params.net_latency;  // request hop + response hop setup
   }
   ++metrics.routes_via[static_cast<std::size_t>(decision.via)];
-  count(options.counters.routed_via[static_cast<std::size_t>(decision.via)]);
   const bool traced =
       options.tracer && options.tracer->sampled(request_index);
 
@@ -329,7 +304,6 @@ void PlayerState::complete(InFlight* rec, sim::SimTime completion, bool ok) {
     routing.unstick(rec->conn, rec->server);
     if (rec->attempt < options.max_retries) {
       ++metrics.retries;
-      count(options.counters.retried);
       const sim::SimTime backoff =
           options.retry_backoff * static_cast<sim::SimTime>(rec->attempt + 1);
       const std::size_t request_index = rec->request_index;
@@ -346,7 +320,6 @@ void PlayerState::complete(InFlight* rec, sim::SimTime completion, bool ok) {
       return;
     }
     ++metrics.failed;
-    count(options.counters.failed);
     account_phase(rr.at, rec->issued_at, completion, /*ok=*/false,
                   /*resident=*/false, 0.0);
     if (rec->traced) {
@@ -379,7 +352,6 @@ void PlayerState::complete(InFlight* rec, sim::SimTime completion, bool ok) {
   }
 
   ++metrics.completed;
-  count(options.counters.completed);
   const auto rt = static_cast<double>(completion - rec->issued_at);
   metrics.response_time_us.add(rt);
   metrics.response_hist.record(static_cast<std::uint64_t>(rt));
@@ -496,10 +468,6 @@ RunMetrics play_workload(sim::Simulator& sim, cluster::Cluster& cluster,
   }
 
   sim.run();
-
-  // Tail flush: deltas accumulated after the last epoch boundary (or the
-  // whole run, if the interval never elapsed).
-  if (state.options.counters.batch) state.options.counters.batch->flush();
 
   // Gather back-end aggregates.
   auto& m = state.metrics;

@@ -25,7 +25,6 @@
 #include "cluster/cluster.h"
 #include "metrics/histogram.h"
 #include "metrics/stats.h"
-#include "obs/metric_batch.h"
 #include "obs/sampler.h"
 #include "obs/span.h"
 #include "obs/tracer.h"
@@ -34,23 +33,6 @@
 #include "trace/workload.h"
 
 namespace prord::core {
-
-/// Handles into a MetricBatch mirroring the player's per-request counters.
-/// When `batch` is set, every counter bump the player records into
-/// RunMetrics is also added to the batch (one array add per bump); the
-/// experiment layer then exports the batch-owned series instead of
-/// re-deriving them from RunMetrics at run end. See docs/PERF.md.
-struct PlayerCounterHandles {
-  obs::MetricBatch* batch = nullptr;  ///< borrowed; null disables mirroring
-  obs::MetricBatch::Handle completed = 0;
-  obs::MetricBatch::Handle failed = 0;
-  obs::MetricBatch::Handle retried = 0;
-  obs::MetricBatch::Handle redispatched = 0;
-  obs::MetricBatch::Handle dispatched = 0;
-  obs::MetricBatch::Handle handoffs = 0;
-  obs::MetricBatch::Handle forwards = 0;
-  std::array<obs::MetricBatch::Handle, obs::kNumRouteVia> routed_via{};
-};
 
 struct PlayerOptions {
   double time_scale = 1.0;  ///< arrival compression factor (>= 1 speeds up)
@@ -91,15 +73,6 @@ struct PlayerOptions {
   /// workloads (trace::DriftSpec) can be reported phase by phase.
   /// Accounting only — never perturbs the event schedule.
   std::vector<sim::SimTime> phase_starts;
-
-  /// Batched hot-path counters (optional; see PlayerCounterHandles).
-  /// Pending deltas are flushed every `counter_flush_interval` of
-  /// simulated time, piggybacking on completion callbacks — the flush
-  /// never schedules events, so enabling batching cannot perturb the
-  /// simulation. The player flushes again at drain and play_workload()
-  /// flushes once more after the event set empties, so no tail is lost.
-  PlayerCounterHandles counters{};
-  sim::SimTime counter_flush_interval = sim::msec(250);
 };
 
 /// Per-workload-phase accounting (PlayerOptions::phase_starts).

@@ -240,15 +240,9 @@ void PopularityTracker::top_rank_table(sim::SimTime now, std::size_t k,
 
 void PopularityTracker::top_rank_table(sim::SimTime now, std::size_t k,
                                        TopRankScratch& scratch) const {
-  if (k == 0 || legacy_rank_selection()) {
+  if (k == 0) {
     scratch.state = 0;
     scratch.rows.clear();
-    if (k == 0) return;
-    // Reference path: reproduce the original per-round cost — a fresh
-    // full-table rebuild and a full sort — then keep the prefix.
-    auto table = rank_table(now);
-    if (table.size() > k) table.resize(k);
-    scratch.rows = std::move(table);
     return;
   }
   if (!rerank(now, k, scratch)) scan(now, k, scratch);

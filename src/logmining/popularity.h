@@ -22,21 +22,6 @@ struct RankEntry {
   double rank = 0.0;  ///< decayed hit count
 };
 
-namespace detail {
-inline std::atomic<bool> g_legacy_rank_selection{false};
-}  // namespace detail
-
-/// Perf-baseline switch (see docs/PERF.md): when true, top_rank_table
-/// routes through the legacy full-table rebuild + full sort that the
-/// replication round originally paid every interval. Toggle only between
-/// runs; the selected prefix is byte-identical either way.
-inline void set_legacy_rank_selection(bool on) noexcept {
-  detail::g_legacy_rank_selection.store(on, std::memory_order_relaxed);
-}
-inline bool legacy_rank_selection() noexcept {
-  return detail::g_legacy_rank_selection.load(std::memory_order_relaxed);
-}
-
 /// What a caller keeps between top_rank_table rounds over one tracker:
 /// the selected rows (the output) and what the next round needs to re-rank
 /// only the files that could have changed place. Callers read the rows and
@@ -80,8 +65,7 @@ class PopularityTracker {
   /// comparator. The scan counts the survivors at the bar and repeats
   /// without it when fewer than k are (rows from another tracker, or
   /// repeats). Queried at a `now` before some stamp, where decayed()
-  /// returns undecayed values, every file is ranked exactly. Honors
-  /// set_legacy_rank_selection for perf-baseline runs.
+  /// returns undecayed values, every file is ranked exactly.
   void top_rank_table(sim::SimTime now, std::size_t k,
                       std::vector<RankEntry>& out) const;
 

@@ -72,35 +72,6 @@ TEST(ObsDeterminism, ExportsAreByteIdenticalAcrossJobCounts) {
   EXPECT_EQ(serial.trace, parallel.trace);
 }
 
-TEST(ObsDeterminism, BatchedMetricsExportIdenticalBytes) {
-  // The player's counters flow through obs::MetricBatch epoch flushes by
-  // default and through the registry's per-request path when batching is
-  // off (bench_perf's baseline). The exported artifacts must be
-  // byte-identical between the two modes at any job count — batching is a
-  // cost optimization, never an observable one. This also pins the
-  // end-of-run tail flush: counts accumulated after the last epoch flush
-  // would go missing from the batched export and break the comparison.
-  RunnerOptions options;
-  options.replications = 2;
-  const auto batched_cells = obs_grid();
-  auto through_cells = obs_grid();
-  for (auto& cell : through_cells) cell.config.obs.batch_metrics = false;
-
-  options.jobs = 1;
-  const Artifacts batched = render_all(run_cells(batched_cells, options));
-  const Artifacts through = render_all(run_cells(through_cells, options));
-  ASSERT_FALSE(batched.prometheus.empty());
-  EXPECT_EQ(batched.prometheus, through.prometheus);
-  EXPECT_EQ(batched.csv, through.csv);
-  EXPECT_EQ(batched.series, through.series);
-  EXPECT_EQ(batched.trace, through.trace);
-
-  options.jobs = 4;
-  const Artifacts through4 = render_all(run_cells(through_cells, options));
-  EXPECT_EQ(batched.prometheus, through4.prometheus);
-  EXPECT_EQ(batched.csv, through4.csv);
-}
-
 TEST(ObsDeterminism, CollectedCatalogueSpansEverySubsystem) {
   RunnerOptions options;
   options.jobs = 2;

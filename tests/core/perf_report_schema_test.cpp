@@ -3,16 +3,21 @@
 // docs/perf_schema.json with a mini JSON-Schema validator covering
 // exactly the subset the schema uses (type, required, enum, minItems,
 // minimum, properties/items recursion). Semantic rules the schema cannot
-// express — monotonic scenario timestamps, non-zero throughput — are
-// asserted here too, so a CI artifact that validates is actually usable
-// for cross-commit comparison.
+// express — monotonic scenario timestamps, unique names, non-zero
+// throughput, the per-suite counters — are asserted here too, so a CI
+// artifact that validates is actually usable for cross-commit comparison.
+// The committed BENCH_sim.json and BENCH_live.json go through the same
+// checks, and the pin gate bench_perf applies to BENCH_sim.json is tested
+// against mutated copies of a report.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/perf_report.h"
@@ -31,14 +36,16 @@ std::string read_file(const std::filesystem::path& path) {
   return buf.str();
 }
 
-JsonValue load_schema() {
-  const auto path = std::filesystem::path(__FILE__)
-                        .parent_path()  // tests/core
-                        .parent_path()  // tests
-                        .parent_path() /
-                    "docs" / "perf_schema.json";
-  return util::json_parse(read_file(path));
+/// A file of the source tree, by its path from the repository root.
+JsonValue load_source_json(const std::filesystem::path& relative) {
+  const auto root = std::filesystem::path(__FILE__)
+                        .parent_path()   // tests/core
+                        .parent_path()   // tests
+                        .parent_path();  // repository root
+  return util::json_parse(read_file(root / relative));
 }
+
+JsonValue load_schema() { return load_source_json("docs/perf_schema.json"); }
 
 // ---------------------------------------------------------------------------
 // Mini validator for the schema subset docs/perf_schema.json uses.
@@ -112,71 +119,84 @@ PerfReport sample_report() {
   report.git_sha = "0123456789abcdef0123456789abcdef01234567";
   report.generated_unix_ms = 1754650000000ull;
 
-  PerfScenario opt;
-  opt.name = "fig8_memory_sweep";
-  opt.mode = "optimized";
-  opt.t_start_ms = 1754649990000ull;
-  opt.t_end_ms = 1754649993000ull;
-  opt.wall_seconds = 3.0;
-  opt.sim_wall_seconds = 2.4;
-  opt.sim_events = 6'000'000;
-  opt.events_per_sec = 2'000'000.0;
-  opt.requests = 120'000;
-  opt.requests_per_sec = 18'500.0;
-  opt.p50_response_ms = 1.2;
-  opt.p99_response_ms = 9.8;
-  opt.allocations = 480'000;
-  opt.allocations_per_event = 0.08;
+  PerfScenario fig8;
+  fig8.name = "fig8_memory_sweep";
+  fig8.t_start_ms = 1754649990000ull;
+  fig8.t_end_ms = 1754649993000ull;
+  fig8.wall_seconds = 3.0;
+  fig8.sim_wall_seconds = 2.4;
+  fig8.sim_events = 6'000'000;
+  fig8.events_per_sec = 2'000'000.0;
+  fig8.requests = 120'000;
+  fig8.requests_per_sec = 18'500.0;
+  fig8.p50_response_ms = 1.2;
+  fig8.p99_response_ms = 9.8;
+  fig8.allocations = 480'000;
+  fig8.allocations_per_event = 0.08;
 
-  PerfScenario base = opt;
-  base.mode = "baseline";
-  base.t_start_ms = opt.t_end_ms;
-  base.t_end_ms = opt.t_end_ms + 7000;
-  base.wall_seconds = 7.0;
-  base.events_per_sec = 857'142.0;
-  base.allocations = 19'000'000;
-  base.allocations_per_event = 3.1;
+  PerfScenario drift = fig8;
+  drift.name = "drift_adaptive";
+  drift.t_start_ms = fig8.t_end_ms;
+  drift.t_end_ms = fig8.t_end_ms + 7000;
+  drift.wall_seconds = 7.0;
+  drift.sim_events = 1'500'000;
+  drift.events_per_sec = 857'142.0;
+  drift.allocations = 11'000'000;
+  drift.allocations_per_event = 7.3;
 
-  report.scenarios = {opt, base};
-  report.speedups = {{"fig8_memory_sweep_events_per_sec_speedup", 2.33}};
+  report.scenarios = {fig8, drift};
   return report;
 }
 
 // Semantic checks bench_perf's consumers rely on, mirrored from the
 // schema description.
 void check_semantics(const JsonValue& doc) {
+  const bool sim = doc.find("suite")->as_string() == "sim";
   std::uint64_t prev_start = 0;
+  std::vector<std::string> names;
   for (const JsonValue& s : doc.find("scenarios")->items()) {
+    const std::string& name = s.find("name")->as_string();
     const auto start =
         static_cast<std::uint64_t>(s.find("t_start_ms")->as_number());
     const auto end =
         static_cast<std::uint64_t>(s.find("t_end_ms")->as_number());
-    EXPECT_GE(start, prev_start) << "scenario list not time-ordered";
-    EXPECT_GE(end, start) << "scenario ends before it starts";
+    EXPECT_GE(start, prev_start) << name << ": scenario list not time-ordered";
+    EXPECT_GE(end, start) << name << ": scenario ends before it starts";
     prev_start = start;
     EXPECT_GT(s.find("requests_per_sec")->as_number(), 0.0)
-        << "scenario carries zero throughput";
+        << name << ": scenario carries zero throughput";
+    EXPECT_EQ(std::count(names.begin(), names.end(), name), 0)
+        << name << ": scenario name repeats";
+    names.push_back(name);
+    if (sim) {
+      EXPECT_GT(s.find("sim_events")->as_number(), 0.0) << name;
+      EXPECT_GT(s.find("allocations")->as_number(), 0.0) << name;
+      EXPECT_EQ(s.find("shards")->as_number(), 0.0) << name;
+    } else {
+      EXPECT_GE(s.find("shards")->as_number(), 1.0) << name;
+    }
   }
+}
+
+std::string joined(const std::vector<std::string>& errors) {
+  std::string all;
+  for (const auto& e : errors) all += "  " + e + "\n";
+  return all;
 }
 
 TEST(PerfReportSchema, RenderedReportValidates) {
   const JsonValue doc =
       util::json_parse(render_perf_report(sample_report()));
   const auto errors = validate_report(doc);
-  EXPECT_TRUE(errors.empty()) << "schema violations:\n"
-                              << [&] {
-                                   std::string all;
-                                   for (const auto& e : errors)
-                                     all += "  " + e + "\n";
-                                   return all;
-                                 }();
+  EXPECT_TRUE(errors.empty()) << "schema violations:\n" << joined(errors);
   check_semantics(doc);
   EXPECT_EQ(static_cast<int>(doc.find("schema_version")->as_number()),
             kPerfSchemaVersion);
 }
 
 TEST(PerfReportSchema, RoundTripPreservesValues) {
-  const PerfReport report = sample_report();
+  PerfReport report = sample_report();
+  report.speedups = {{"live_tracing_1pct_rps_ratio", 0.97}};
   const JsonValue doc = util::json_parse(render_perf_report(report));
   EXPECT_EQ(doc.find("suite")->as_string(), "sim");
   EXPECT_EQ(doc.find("git_sha")->as_string(), report.git_sha);
@@ -189,17 +209,17 @@ TEST(PerfReportSchema, RoundTripPreservesValues) {
   EXPECT_EQ(static_cast<std::uint64_t>(s0.find("sim_events")->as_number()),
             report.scenarios[0].sim_events);
   EXPECT_DOUBLE_EQ(s0.find("p99_response_ms")->as_number(), 9.8);
-  const JsonValue* speedup =
-      doc.find("speedups")->find("fig8_memory_sweep_events_per_sec_speedup");
-  ASSERT_NE(speedup, nullptr);
-  EXPECT_DOUBLE_EQ(speedup->as_number(), 2.33);
+  const JsonValue* ratio =
+      doc.find("speedups")->find("live_tracing_1pct_rps_ratio");
+  ASSERT_NE(ratio, nullptr);
+  EXPECT_DOUBLE_EQ(ratio->as_number(), 0.97);
 }
 
 TEST(PerfReportSchema, ValidatorHasTeeth) {
   // Mutations a drifting emitter could produce must be caught — otherwise
   // the CI validation step is theater.
   PerfReport report = sample_report();
-  report.scenarios[0].mode = "turbo";  // not in the mode enum
+  report.suite = "turbo";  // not in the suite enum
   JsonValue doc = util::json_parse(render_perf_report(report));
   EXPECT_FALSE(validate_report(doc).empty());
 
@@ -213,6 +233,73 @@ TEST(PerfReportSchema, ValidatorHasTeeth) {
   JsonValue bare = JsonValue::object();
   bare.set("schema_version", 1);
   EXPECT_FALSE(validate_report(bare).empty());
+}
+
+TEST(PerfReportSchema, CommittedReportsValidate) {
+  // The BENCH files at the repository root are the perf trajectory and
+  // bench_perf's --pin; a stale or hand-edited one must not slip through.
+  for (const auto& [file, suite] :
+       {std::pair{"BENCH_sim.json", "sim"},
+        std::pair{"BENCH_live.json", "live"}}) {
+    SCOPED_TRACE(file);
+    const JsonValue doc = load_source_json(file);
+    ASSERT_TRUE(doc.is_object());
+    const auto errors = validate_report(doc);
+    EXPECT_TRUE(errors.empty()) << "schema violations:\n" << joined(errors);
+    if (!errors.empty()) continue;
+    EXPECT_EQ(doc.find("suite")->as_string(), suite);
+    EXPECT_EQ(static_cast<int>(doc.find("schema_version")->as_number()),
+              kPerfSchemaVersion);
+    check_semantics(doc);
+  }
+}
+
+TEST(PerfReportSchema, PinPassesOnItsOwnReport) {
+  const PerfReport report = sample_report();
+  const JsonValue pin = util::json_parse(render_perf_report(report));
+  EXPECT_TRUE(pin_violations(pin, report).empty())
+      << joined(pin_violations(pin, report));
+
+  // Fewer allocations than pinned pass; the pin is a ceiling.
+  PerfReport leaner = report;
+  leaner.scenarios[1].allocations -= 1;
+  EXPECT_TRUE(pin_violations(pin, leaner).empty());
+}
+
+TEST(PerfReportSchema, PinFailsOnAnyCounterDrift) {
+  const PerfReport report = sample_report();
+  const JsonValue pin = util::json_parse(render_perf_report(report));
+
+  PerfReport more_events = report;
+  more_events.scenarios[0].sim_events += 1;
+  EXPECT_EQ(pin_violations(pin, more_events).size(), 1u);
+  PerfReport fewer_events = report;
+  fewer_events.scenarios[0].sim_events -= 1;
+  EXPECT_EQ(pin_violations(pin, fewer_events).size(), 1u);
+
+  PerfReport more_allocs = report;
+  more_allocs.scenarios[1].allocations += 1;
+  EXPECT_EQ(pin_violations(pin, more_allocs).size(), 1u);
+
+  // A pinned scenario that did not run.
+  PerfReport missing = report;
+  missing.scenarios.pop_back();
+  EXPECT_EQ(pin_violations(pin, missing).size(), 1u);
+
+  // A pin whose counts are zero pins nothing: a failure, not a pass.
+  PerfReport zeroed = report;
+  zeroed.scenarios[0].allocations = 0;
+  EXPECT_EQ(pin_violations(util::json_parse(render_perf_report(zeroed)),
+                           report)
+                .size(),
+            1u);
+
+  // A pin with no scenarios at all.
+  PerfReport empty = report;
+  empty.scenarios.clear();
+  EXPECT_FALSE(
+      pin_violations(util::json_parse(render_perf_report(empty)), report)
+          .empty());
 }
 
 TEST(PerfReportSchema, ParserRejectsMalformedInput) {

@@ -456,24 +456,5 @@ TEST(Popularity, TopRankTableFuzzAcrossRounds) {
   }
 }
 
-TEST(Popularity, TopRankTableLegacySwitchSameBytes) {
-  PopularityTracker t(sim::sec(60.0));
-  std::mt19937_64 rng(7);
-  for (int i = 0; i < 2000; ++i)
-    t.record_hit(static_cast<trace::FileId>(rng() % 128),
-                 static_cast<sim::SimTime>(rng() % sim::sec(600.0)));
-  std::vector<RankEntry> fast, legacy;
-  t.top_rank_table(sim::sec(600.0), 32, fast);
-  set_legacy_rank_selection(true);
-  t.top_rank_table(sim::sec(600.0), 32, legacy);
-  set_legacy_rank_selection(false);
-  ASSERT_EQ(fast.size(), legacy.size());
-  for (std::size_t i = 0; i < fast.size(); ++i) {
-    EXPECT_EQ(fast[i].file, legacy[i].file);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(fast[i].rank),
-              std::bit_cast<std::uint64_t>(legacy[i].rank));
-  }
-}
-
 }  // namespace
 }  // namespace prord::logmining

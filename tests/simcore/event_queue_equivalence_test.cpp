@@ -1,5 +1,6 @@
 // Equivalence fuzz: the timing-wheel queue must be operation-for-operation
-// indistinguishable from the reference binary heap — same pop order, same
+// indistinguishable from the reference binary heap
+// (tests/support/reference_event_heap.h) — same pop order, same
 // pop times, same cancel outcomes, same sizes — under randomized streams
 // of pushes (leaf-window, mid-wheel, overflow-range, and below-clock
 // "past" times), cancels, and pops. This is the contract that lets every
@@ -13,16 +14,15 @@
 #include <vector>
 
 #include "simcore/event_queue.h"
+#include "support/reference_event_heap.h"
 
 namespace prord::sim {
 namespace {
 
 void run_fuzz(std::uint64_t seed, int ops) {
   SCOPED_TRACE("seed " + std::to_string(seed));
-  EventQueue wheel(QueueImpl::kBucketed);
-  EventQueue heap(QueueImpl::kHeapReference);
-  ASSERT_EQ(wheel.impl(), QueueImpl::kBucketed);
-  ASSERT_EQ(heap.impl(), QueueImpl::kHeapReference);
+  EventQueue wheel;
+  test_support::ReferenceEventHeap heap;
 
   std::mt19937_64 rng(seed);
   std::vector<EventHandle> wheel_handles, heap_handles;
