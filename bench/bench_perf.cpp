@@ -13,7 +13,9 @@
 //   --max-trace-overhead=F   live req/s lost to 1% tracing, at most F.
 //   --min-prefetch-hit-gain=X  live worker hit rate, prefetch on / off.
 // A set gate fails when its ratio cannot be measured (a live cell that
-// served nothing). Exit codes: 0 pass, 1 gate failure, 2 usage error.
+// served nothing). A live cell that fails to start, and a report that
+// breaks core::report_violations' rules, fail the run too; such a report
+// is not written. Exit codes: 0 pass, 1 failure, 2 usage error.
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -203,9 +205,10 @@ core::PerfScenario run_sim_scenario(const std::string& name,
 
 /// One live loopback run. `trace_sample_rate` > 0 measures the tracing
 /// tax: the traced scenario divides by the untraced one to produce the
-/// live_tracing_rps_ratio gate (docs/OBSERVABILITY.md).
-core::PerfScenario run_live_scenario(const std::string& name,
-                                     double trace_sample_rate) {
+/// live_tracing_rps_ratio gate (docs/OBSERVABILITY.md). Empty when the
+/// cluster failed to start.
+std::optional<core::PerfScenario> run_live_scenario(const std::string& name,
+                                                    double trace_sample_rate) {
   core::PerfScenario s;
   s.name = name;
   s.shards = 1;  // run_live is always a single distributor shard
@@ -220,11 +223,7 @@ core::PerfScenario run_live_scenario(const std::string& name,
   s.allocations =
       g_heap_allocs.load(std::memory_order_relaxed) - allocs0;
 
-  if (!result.started) {
-    std::fprintf(stderr, "[bench_perf] live run failed to start\n");
-    return s;  // zeros; the schema test tolerates a missing live file,
-               // but an emitted one must carry real throughput.
-  }
+  if (!result.started) return std::nullopt;
   s.wall_seconds = result.load.duration_s;
   s.requests = result.load.completed;
   s.requests_per_sec = result.load.throughput_rps();  // wall-clock rate
@@ -268,8 +267,9 @@ struct LivePrefetchCell {
   std::uint64_t issued = 0;
 };
 
-LivePrefetchCell run_live_prefetch_cell(const std::string& name,
-                                        bool prefetch_on) {
+/// Empty when the cluster failed to start.
+std::optional<LivePrefetchCell> run_live_prefetch_cell(const std::string& name,
+                                                       bool prefetch_on) {
   LivePrefetchCell cell;
   core::PerfScenario& s = cell.scenario;
   s.name = name;
@@ -289,10 +289,7 @@ LivePrefetchCell run_live_prefetch_cell(const std::string& name,
   s.t_end_ms = core::unix_now_ms();
   s.allocations = g_heap_allocs.load(std::memory_order_relaxed) - allocs0;
 
-  if (!result.started) {
-    std::fprintf(stderr, "[bench_perf] live prefetch run failed to start\n");
-    return cell;
-  }
+  if (!result.started) return std::nullopt;
   s.wall_seconds = result.load.duration_s;
   s.requests = result.load.completed;
   s.requests_per_sec = result.load.throughput_rps();
@@ -457,10 +454,21 @@ int main(int argc, char** argv) {
     live_report.git_sha = sha;
     // Tracing off, then on at the CI sampling rate: the ratio is the
     // observability tax on live throughput (1.0 = free).
-    core::PerfScenario untraced =
+    // A cell that cannot start (no sockets, say) is an error: its report
+    // would carry zero-throughput rows.
+    const auto failed_to_start = [](const char* name) {
+      std::fprintf(stderr, "[bench_perf] FAIL: %s: live cluster failed to "
+                   "start; BENCH_live.json not written\n", name);
+      return 1;
+    };
+    const std::optional<core::PerfScenario> untraced_run =
         run_live_scenario("live_loopback_burst", 0.0);
-    core::PerfScenario traced =
+    if (!untraced_run) return failed_to_start("live_loopback_burst");
+    const std::optional<core::PerfScenario> traced_run =
         run_live_scenario("live_loopback_traced_1pct", 0.01);
+    if (!traced_run) return failed_to_start("live_loopback_traced_1pct");
+    core::PerfScenario untraced = *untraced_run;
+    core::PerfScenario traced = *traced_run;
     const double trace_ratio =
         untraced.requests_per_sec > 0
             ? traced.requests_per_sec / untraced.requests_per_sec
@@ -479,9 +487,14 @@ int main(int argc, char** argv) {
     // (>1.0 = the prediction service converts real misses), the rps ratio
     // is its throughput tax, and the waste ratio is the on-cell's share
     // of issued prefetches no client ever consumed.
-    LivePrefetchCell pf_off =
+    const std::optional<LivePrefetchCell> pf_off_run =
         run_live_prefetch_cell("live_prefetch_off", false);
-    LivePrefetchCell pf_on = run_live_prefetch_cell("live_prefetch_on", true);
+    if (!pf_off_run) return failed_to_start("live_prefetch_off");
+    const std::optional<LivePrefetchCell> pf_on_run =
+        run_live_prefetch_cell("live_prefetch_on", true);
+    if (!pf_on_run) return failed_to_start("live_prefetch_on");
+    LivePrefetchCell pf_off = *pf_off_run;
+    LivePrefetchCell pf_on = *pf_on_run;
     const double hit_gain = pf_off.worker_hit_rate > 0
                                 ? pf_on.worker_hit_rate /
                                       pf_off.worker_hit_rate

@@ -50,7 +50,58 @@ std::string render_perf_report(const PerfReport& report) {
   return perf_report_to_json(report).dump();
 }
 
+std::vector<std::string> report_violations(const util::JsonValue& doc) {
+  const util::JsonValue* suite = doc.find("suite");
+  const util::JsonValue* scenarios = doc.find("scenarios");
+  if (!suite || !suite->is_string() || !scenarios || !scenarios->is_array() ||
+      scenarios->items().empty())
+    return {"report has no suite or no scenarios"};
+  const bool sim = suite->as_string() == "sim";
+  const auto number = [](const util::JsonValue& s, std::string_view key) {
+    const util::JsonValue* v = s.find(key);
+    return v && v->is_number() ? v->as_number() : 0.0;
+  };
+  std::vector<std::string> out;
+  std::vector<std::string> names;
+  double prev_start = 0.0;
+  for (const util::JsonValue& s : scenarios->items()) {
+    const util::JsonValue* name = s.find("name");
+    const std::string label =
+        name && name->is_string() ? name->as_string() : "<unnamed>";
+    const double start = number(s, "t_start_ms");
+    if (start < prev_start)
+      out.push_back(label + ": scenario list not time-ordered");
+    if (number(s, "t_end_ms") < start)
+      out.push_back(label + ": scenario ends before it starts");
+    prev_start = start;
+    if (!(number(s, "requests_per_sec") > 0.0))
+      out.push_back(label + ": scenario carries zero throughput");
+    if (std::find(names.begin(), names.end(), label) != names.end())
+      out.push_back(label + ": scenario name repeats");
+    names.push_back(label);
+    if (sim) {
+      if (!(number(s, "sim_events") > 0.0))
+        out.push_back(label + ": sim scenario without sim_events");
+      if (!(number(s, "allocations") > 0.0))
+        out.push_back(label + ": sim scenario without allocations");
+      if (number(s, "shards") != 0.0)
+        out.push_back(label + ": sim scenario with shards");
+    } else if (!(number(s, "shards") >= 1.0)) {
+      out.push_back(label + ": live scenario without a shard");
+    }
+  }
+  return out;
+}
+
 bool write_perf_report(const PerfReport& report, const std::string& path) {
+  const std::vector<std::string> violations =
+      report_violations(perf_report_to_json(report));
+  for (const std::string& v : violations)
+    std::fprintf(stderr, "perf_report: %s: %s\n", path.c_str(), v.c_str());
+  if (!violations.empty()) {
+    std::fprintf(stderr, "perf_report: %s not written\n", path.c_str());
+    return false;
+  }
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) {
     std::fprintf(stderr, "perf_report: cannot open %s for writing\n",

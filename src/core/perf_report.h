@@ -63,7 +63,16 @@ util::JsonValue perf_report_to_json(const PerfReport& report);
 /// Serialized report (perf_report_to_json().dump()).
 std::string render_perf_report(const PerfReport& report);
 
-/// Writes the report to `path`; false (with a stderr note) on I/O failure.
+/// The semantic rules docs/perf_schema.json cannot express, on a rendered
+/// report: scenarios listed in start order, none ending before it starts,
+/// every one with non-zero throughput and a unique name; sim scenarios
+/// with sim_events and allocations and no shards, live ones with at least
+/// one shard. Returns one line per violation; empty means the report is
+/// fit for cross-commit comparison.
+std::vector<std::string> report_violations(const util::JsonValue& doc);
+
+/// Writes the report to `path`; false (with a stderr note) when it breaks
+/// a semantic rule — nothing is written then — or on I/O failure.
 bool write_perf_report(const PerfReport& report, const std::string& path);
 
 /// The pin gate on a sim report's deterministic counters: for every

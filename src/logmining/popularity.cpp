@@ -248,6 +248,30 @@ void PopularityTracker::top_rank_table(sim::SimTime now, std::size_t k,
   if (!rerank(now, k, scratch)) scan(now, k, scratch);
 }
 
+bool PopularityTracker::in_top(trace::FileId file, sim::SimTime now,
+                               std::size_t n) const {
+  if (n == 0 || file >= entries_.size() || !entries_[file].present)
+    return false;
+  if (present_ <= n) return true;
+  const RankEntry row{file, decayed(entries_[file], now)};
+  // A file ranking before `row` ranks at least as high, so its key reaches
+  // row's, less a margin (the scan's bar, set at row's rank).
+  double threshold = kNoKey;
+  if (keys_order_ranks(now) && row.rank > kTinyRank) {
+    const double scale = static_cast<double>(now) * inv_halflife_;
+    const double key = key_at(row.rank, scale);
+    threshold = key - key_margin(key, scale);
+  }
+  std::size_t before = 0;
+  for (std::size_t f = 0; f < keys_.size(); ++f) {
+    if (keys_[f] < threshold || !entries_[f].present) continue;
+    const RankEntry other{static_cast<trace::FileId>(f),
+                          decayed(entries_[f], now)};
+    if (ranks_before(other, row) && ++before >= n) return false;
+  }
+  return true;
+}
+
 bool PopularityTracker::keys_order_ranks(sim::SimTime now) const {
   return halflife_ == 0 || now >= max_stamp_;
 }
@@ -255,7 +279,7 @@ bool PopularityTracker::keys_order_ranks(sim::SimTime now) const {
 bool PopularityTracker::rerank(sim::SimTime now, std::size_t k,
                                TopRankScratch& s) const {
   std::vector<RankEntry>& rows = s.rows;
-  if (s.state != state_.value() || rows.size() != k ||
+  if (s.state != state_.value() || rows.size() < k ||
       hits_ - s.hits > kHitJournal || !keys_order_ranks(now))
     return false;
   // Candidates: last round's rows and every file hit since (repeats and

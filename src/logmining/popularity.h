@@ -71,14 +71,22 @@ class PopularityTracker {
 
   /// The same rows in `scratch.rows`, for a caller that runs rounds over
   /// this tracker and keeps `scratch` between them. When the last round
-  /// left k rows, taken from this tracker's current state (no seed, age,
-  /// load or copy since), with at most kHitJournal hits after it, only
-  /// those rows and the files hit since are ranked: every other file's key
-  /// is unchanged and at most `scratch.runner_up`, and while that lies a
+  /// left at least k rows (a round may ask for fewer rows than the last
+  /// one), taken from this tracker's current state (no seed, age, load or
+  /// copy since), with at most kHitJournal hits after it, only those rows
+  /// and the files hit since are ranked: every other file's key is
+  /// unchanged and at most `scratch.runner_up`, and while that lies a
   /// rounding margin below the new k-th row's key, none of them can enter.
   /// Otherwise the round scans as above.
   void top_rank_table(sim::SimTime now, std::size_t k,
                       TopRankScratch& scratch) const;
+
+  /// True when `file` is tracked and lies among the first `n` rows of
+  /// rank_table(now), i.e. fewer than `n` files rank before it. Ranks only
+  /// the files that could: those whose key reaches the file's own, less a
+  /// rounding margin (every file, queried before some stamp or at a tiny
+  /// rank).
+  bool in_top(trace::FileId file, sim::SimTime now, std::size_t n) const;
 
   /// Hits a tracker remembers for top_rank_table's incremental rounds.
   static constexpr std::size_t kHitJournal = 4096;

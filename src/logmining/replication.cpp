@@ -20,6 +20,14 @@ std::uint32_t tier_replicas(ReplicaTier tier, std::uint32_t num_servers) {
   return 0;
 }
 
+ReplicaTier replica_tier(double rank, double t1) {
+  if (rank > 0.75 * t1) return ReplicaTier::kAll;
+  if (rank > 0.5 * t1) return ReplicaTier::kThreeQuarter;
+  if (rank > 0.25 * t1) return ReplicaTier::kHalf;
+  if (rank > 0.125 * t1) return ReplicaTier::kNoChange;
+  return ReplicaTier::kNone;
+}
+
 void plan_replication(std::span<const RankEntry> rank_table,
                       std::uint32_t num_servers,
                       const ReplicationPlanOptions& options,
@@ -37,17 +45,7 @@ void plan_replication(std::span<const RankEntry> rank_table,
 
   for (const auto& entry : rank_table) {
     if (entry.rank < options.min_rank) break;  // table is sorted descending
-    ReplicaTier tier;
-    if (entry.rank > 0.75 * t1)
-      tier = ReplicaTier::kAll;
-    else if (entry.rank > 0.5 * t1)
-      tier = ReplicaTier::kThreeQuarter;
-    else if (entry.rank > 0.25 * t1)
-      tier = ReplicaTier::kHalf;
-    else if (entry.rank > 0.125 * t1)
-      tier = ReplicaTier::kNoChange;
-    else
-      tier = ReplicaTier::kNone;
+    const ReplicaTier tier = replica_tier(entry.rank, t1);
     plan.push_back(ReplicaDirective{entry.file, tier,
                                     tier_replicas(tier, num_servers)});
     if (options.max_directives != 0 && plan.size() >= options.max_directives)

@@ -66,4 +66,10 @@ std::vector<ReplicaDirective> plan_replication(
 /// Maps a tier to a concrete replica count for an N-server cluster.
 std::uint32_t tier_replicas(ReplicaTier tier, std::uint32_t num_servers);
 
+/// The tier of a file ranked `rank` against pivot `t1` (the table above).
+/// Monotone: a higher rank never gets a lower tier, so in a table sorted
+/// by rank the push tiers (ALL, 3/4, HALF) form a prefix and NONE a
+/// suffix.
+ReplicaTier replica_tier(double rank, double t1);
+
 }  // namespace prord::logmining

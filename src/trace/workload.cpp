@@ -12,12 +12,12 @@ namespace prord::trace {
 FileId FileTable::intern(std::string_view url, std::uint32_t bytes) {
   auto it = ids_.find(url);
   if (it != ids_.end()) {
-    sizes_[it->second] = std::max(sizes_[it->second], bytes);
+    info_[it->second].bytes = std::max(info_[it->second].bytes, bytes);
     return it->second;
   }
   const auto id = static_cast<FileId>(urls_.size());
   urls_.emplace_back(url);
-  sizes_.push_back(bytes);
+  info_.push_back(Info{bytes, is_embedded_url(url), is_dynamic_url(url)});
   ids_.emplace(urls_.back(), id);
   return id;
 }
@@ -29,7 +29,7 @@ FileId FileTable::lookup(std::string_view url) const {
 
 std::uint64_t FileTable::total_bytes() const noexcept {
   std::uint64_t total = 0;
-  for (std::uint32_t s : sizes_) total += s;
+  for (const Info& f : info_) total += f.bytes;
   return total;
 }
 
@@ -78,8 +78,8 @@ Workload build_workload(std::span<const LogRecord> records,
     req.client = rec.client;
     req.file = w.files.intern(rec.url, rec.bytes);
     req.bytes = rec.bytes;
-    req.is_embedded = is_embedded_url(rec.url);
-    req.is_dynamic = !req.is_embedded && is_dynamic_url(rec.url);
+    req.is_embedded = w.files.is_embedded(req.file);
+    req.is_dynamic = !req.is_embedded && w.files.is_dynamic(req.file);
 
     if (!st.seen) {
       st.seen = true;

@@ -32,8 +32,12 @@ class FileTable {
   /// Id for a known URL or kInvalidFile.
   FileId lookup(std::string_view url) const;
 
-  std::uint32_t size_bytes(FileId id) const { return sizes_.at(id); }
+  std::uint32_t size_bytes(FileId id) const { return info_.at(id).bytes; }
   const std::string& url(FileId id) const { return urls_.at(id); }
+  /// is_embedded_url / is_dynamic_url of the file's URL, classified once
+  /// when it was interned.
+  bool is_embedded(FileId id) const { return info_.at(id).embedded; }
+  bool is_dynamic(FileId id) const { return info_.at(id).dynamic; }
   std::size_t count() const noexcept { return urls_.size(); }
 
   /// Sum of sizes over all known files — the site footprint as seen in the
@@ -41,8 +45,14 @@ class FileTable {
   std::uint64_t total_bytes() const noexcept;
 
  private:
+  struct Info {
+    std::uint32_t bytes = 0;
+    bool embedded = false;
+    bool dynamic = false;
+  };
+
   std::vector<std::string> urls_;
-  std::vector<std::uint32_t> sizes_;
+  std::vector<Info> info_;
   /// Transparent hashing: lookup()/intern() probe with the caller's
   /// string_view, without building a key string. Keys stay owned strings
   /// (a view into urls_ would dangle when the vector reallocates).

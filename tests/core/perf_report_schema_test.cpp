@@ -20,6 +20,8 @@
 #include <utility>
 #include <vector>
 
+#include <unistd.h>
+
 #include "core/perf_report.h"
 #include "util/json.h"
 
@@ -148,40 +150,18 @@ PerfReport sample_report() {
   return report;
 }
 
-// Semantic checks bench_perf's consumers rely on, mirrored from the
-// schema description.
-void check_semantics(const JsonValue& doc) {
-  const bool sim = doc.find("suite")->as_string() == "sim";
-  std::uint64_t prev_start = 0;
-  std::vector<std::string> names;
-  for (const JsonValue& s : doc.find("scenarios")->items()) {
-    const std::string& name = s.find("name")->as_string();
-    const auto start =
-        static_cast<std::uint64_t>(s.find("t_start_ms")->as_number());
-    const auto end =
-        static_cast<std::uint64_t>(s.find("t_end_ms")->as_number());
-    EXPECT_GE(start, prev_start) << name << ": scenario list not time-ordered";
-    EXPECT_GE(end, start) << name << ": scenario ends before it starts";
-    prev_start = start;
-    EXPECT_GT(s.find("requests_per_sec")->as_number(), 0.0)
-        << name << ": scenario carries zero throughput";
-    EXPECT_EQ(std::count(names.begin(), names.end(), name), 0)
-        << name << ": scenario name repeats";
-    names.push_back(name);
-    if (sim) {
-      EXPECT_GT(s.find("sim_events")->as_number(), 0.0) << name;
-      EXPECT_GT(s.find("allocations")->as_number(), 0.0) << name;
-      EXPECT_EQ(s.find("shards")->as_number(), 0.0) << name;
-    } else {
-      EXPECT_GE(s.find("shards")->as_number(), 1.0) << name;
-    }
-  }
-}
-
 std::string joined(const std::vector<std::string>& errors) {
   std::string all;
   for (const auto& e : errors) all += "  " + e + "\n";
   return all;
+}
+
+// Semantic checks bench_perf's consumers rely on (core::report_violations,
+// which write_perf_report applies before it writes a report).
+void check_semantics(const JsonValue& doc) {
+  const auto violations = report_violations(doc);
+  EXPECT_TRUE(violations.empty()) << "semantic violations:\n"
+                                  << joined(violations);
 }
 
 TEST(PerfReportSchema, RenderedReportValidates) {
@@ -300,6 +280,68 @@ TEST(PerfReportSchema, PinFailsOnAnyCounterDrift) {
   EXPECT_FALSE(
       pin_violations(util::json_parse(render_perf_report(empty)), report)
           .empty());
+}
+
+TEST(PerfReportSchema, SemanticRulesHaveTeeth) {
+  const auto violations = [](const PerfReport& r) {
+    return report_violations(util::json_parse(render_perf_report(r)));
+  };
+  EXPECT_TRUE(violations(sample_report()).empty());
+
+  PerfReport out_of_order = sample_report();
+  std::swap(out_of_order.scenarios[0], out_of_order.scenarios[1]);
+  EXPECT_FALSE(violations(out_of_order).empty());
+
+  PerfReport repeated = sample_report();
+  repeated.scenarios[1].name = repeated.scenarios[0].name;
+  EXPECT_FALSE(violations(repeated).empty());
+
+  PerfReport no_events = sample_report();
+  no_events.scenarios[0].sim_events = 0;
+  EXPECT_FALSE(violations(no_events).empty());
+
+  PerfReport sharded_sim = sample_report();
+  sharded_sim.scenarios[0].shards = 1;
+  EXPECT_FALSE(violations(sharded_sim).empty());
+
+  PerfReport empty = sample_report();
+  empty.scenarios.clear();
+  EXPECT_FALSE(violations(empty).empty());
+}
+
+// A live cell that fails to start (bench_perf under `ulimit -n 12`, where
+// no loopback socket opens) leaves a scenario with its name, its shard and
+// its clock bracket and nothing else. Such a report must never reach disk.
+TEST(PerfReportSchema, FailedLiveCellIsNeverWritten) {
+  PerfReport live;
+  live.suite = "live";
+  live.git_sha = "0123456789abcdef0123456789abcdef01234567";
+  live.generated_unix_ms = 1754650000000ull;
+  for (const char* name : {"live_loopback_burst", "live_prefetch_off"}) {
+    PerfScenario s;
+    s.name = name;
+    s.shards = 1;
+    s.t_start_ms = s.t_end_ms = 1754650000000ull;
+    live.scenarios.push_back(s);
+  }
+  live.scenarios[0].requests = 15'000;
+  live.scenarios[0].requests_per_sec = 21'000.0;  // only the second failed
+  const auto violations =
+      report_violations(util::json_parse(render_perf_report(live)));
+  ASSERT_EQ(violations.size(), 1u) << joined(violations);
+  EXPECT_NE(violations[0].find("live_prefetch_off"), std::string::npos);
+
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("prord_failed_live_" + std::to_string(::getpid()) +
+                     ".json");
+  std::filesystem::remove(path);
+  EXPECT_FALSE(write_perf_report(live, path.string()));
+  EXPECT_FALSE(std::filesystem::exists(path));
+
+  live.scenarios[1].requests_per_sec = 19'000.0;
+  EXPECT_TRUE(write_perf_report(live, path.string()));
+  EXPECT_TRUE(std::filesystem::exists(path));
+  std::filesystem::remove(path);
 }
 
 TEST(PerfReportSchema, ParserRejectsMalformedInput) {

@@ -5,6 +5,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <string>
@@ -269,6 +271,24 @@ TEST(Replication, RejectsZeroServers) {
   EXPECT_THROW(plan_replication(make_table({1}), 0), std::invalid_argument);
 }
 
+TEST(Replication, ReplicaTierFallsWithRank) {
+  // The replication round reads the push rows as a prefix of the table and
+  // the NONE rows as a suffix; that needs monotone tiers at any pivot.
+  const double ranks[] = {0.0, 1e-300, 0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 7.9,
+                          8.0, 100.0};
+  for (const double t1 : {8.0, 1.0, 0.0, -4.0,
+                          std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN()})
+    for (std::size_t i = 1; i < std::size(ranks); ++i)
+      EXPECT_LE(replica_tier(ranks[i], t1), replica_tier(ranks[i - 1], t1))
+          << "t1 " << t1 << " rank " << ranks[i];
+  EXPECT_EQ(replica_tier(7.0, 8.0), ReplicaTier::kAll);
+  EXPECT_EQ(replica_tier(6.0, 8.0), ReplicaTier::kThreeQuarter);
+  EXPECT_EQ(replica_tier(4.0, 8.0), ReplicaTier::kHalf);
+  EXPECT_EQ(replica_tier(2.0, 8.0), ReplicaTier::kNoChange);
+  EXPECT_EQ(replica_tier(1.0, 8.0), ReplicaTier::kNone);
+}
+
 TEST(Replication, MonotoneTiersDownTheTable) {
   const auto plan = plan_replication(
       make_table({100, 90, 70, 60, 40, 30, 20, 14, 10, 1}), 8);
@@ -452,6 +472,44 @@ TEST(Popularity, TopRankTableFuzzAcrossRounds) {
                       1e-9 * (4 + std::abs(scratch.runner_up) + scale))
             << "file " << row.file;
       }
+    }
+  }
+}
+
+// in_top(file, now, n) is "fewer than n files rank before it in
+// rank_table(now)": checked for every file and a spread of n, with exact
+// ties (no decay), ranks decayed to tiny or zero, queries before the
+// latest stamps, and ids the tracker never saw.
+TEST(Popularity, InTopMatchesRankTablePosition) {
+  std::mt19937_64 rng(20261021);
+  for (int trial = 0; trial < 16; ++trial) {
+    const sim::SimTime halflife =
+        trial % 4 == 0 ? 0
+                       : sim::sec(trial % 4 == 1 ? 1.0 : 1.0 + rng() % 900);
+    PopularityTracker t(halflife);
+    const auto files = 1 + rng() % 200;
+    const auto hits = rng() % 3000;
+    for (std::uint64_t i = 0; i < hits; ++i) {
+      const auto r = rng() % files;
+      t.record_hit(static_cast<trace::FileId>(r * r / files),
+                   static_cast<sim::SimTime>(rng() % sim::sec(600.0)));
+    }
+    for (const sim::SimTime now :
+         {sim::sec(300.0), sim::sec(600.0), sim::sec(2400.0)}) {
+      SCOPED_TRACE(::testing::Message() << "trial " << trial << " now "
+                                        << now);
+      const auto table = t.rank_table(now);
+      std::vector<std::size_t> position(files + 3, SIZE_MAX);
+      for (std::size_t i = 0; i < table.size(); ++i)
+        position[table[i].file] = i;
+      for (trace::FileId f = 0; f < position.size(); ++f)
+        for (const std::size_t n :
+             {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{5},
+              std::size_t{17}, table.size() / 2, table.size(),
+              std::size_t{1000}})
+          EXPECT_EQ(t.in_top(f, now, n), position[f] < n)
+              << "file " << f << " n " << n;
+      EXPECT_FALSE(t.in_top(trace::kInvalidFile, now, 1000));
     }
   }
 }

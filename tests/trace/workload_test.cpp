@@ -76,6 +76,43 @@ TEST(IsEmbeddedUrl, ClassifiesByExtension) {
   EXPECT_FALSE(is_embedded_url("/cgi-bin/form"));
 }
 
+TEST(FileTable, ClassifiesEachUrlOnceAtIntern) {
+  FileTable t;
+  const char* urls[] = {"/img/logo.gif", "/style.CSS",   "/x/app.js?v=2",
+                        "/index.html",   "/cgi-bin/form", "/s1/p3.cgi?q=x",
+                        "/cgi-bin/x.gif", "/noext",       "/trailingdot."};
+  for (const char* url : urls) {
+    const FileId id = t.intern(url, 10);
+    EXPECT_EQ(t.is_embedded(id), is_embedded_url(url)) << url;
+    EXPECT_EQ(t.is_dynamic(id), is_dynamic_url(url)) << url;
+    // A second sighting keeps the flags.
+    EXPECT_EQ(t.intern(url, 20), id);
+    EXPECT_EQ(t.is_embedded(id), is_embedded_url(url)) << url;
+  }
+  // Both at once: an image under /cgi-bin/.
+  const FileId both = t.lookup("/cgi-bin/x.gif");
+  EXPECT_TRUE(t.is_embedded(both));
+  EXPECT_TRUE(t.is_dynamic(both));
+}
+
+TEST(BuildWorkload, RequestKindsFollowTheFileTable) {
+  std::vector<LogRecord> recs{rec(0, 0, "/a.html"), rec(1, 0, "/a.gif"),
+                              rec(2, 0, "/q.php"), rec(3, 0, "/cgi-bin/x.gif"),
+                              rec(4, 0, "/a.gif")};
+  const auto w = build_workload(recs);
+  ASSERT_EQ(w.requests.size(), recs.size());
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    const Request& r = w.requests[i];
+    EXPECT_EQ(r.is_embedded, is_embedded_url(recs[i].url)) << recs[i].url;
+    // Embedded wins: an image under /cgi-bin/ is not dynamic.
+    EXPECT_EQ(r.is_dynamic,
+              !is_embedded_url(recs[i].url) && is_dynamic_url(recs[i].url))
+        << recs[i].url;
+  }
+  EXPECT_TRUE(w.requests[2].is_dynamic);
+  EXPECT_FALSE(w.requests[3].is_dynamic);
+}
+
 TEST(BuildWorkload, InternsAndPreservesOrder) {
   std::vector<LogRecord> recs{rec(0, 0, "/a.html"), rec(10, 0, "/a.gif"),
                               rec(20, 1, "/b.html")};

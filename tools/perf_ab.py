@@ -7,10 +7,8 @@ directory; reads fig8_memory_sweep's events_per_sec from every
 BENCH_sim.json; and fails when the head's median falls below 0.8 times
 the base's. Alternating the passes spreads machine drift over both
 sides. The bound is loose because shared CI runners are noisy; the exact
-simulator gate is bench_perf's --pin.
-
-Reports from before schema v3 carry one row per `mode`; for those the
-"optimized" row is the one compared.
+simulator gate is bench_perf's --pin. Both binaries must write schema v3
+reports (one row per scenario).
 
     python3 tools/perf_ab.py BASE/bench_perf HEAD/bench_perf
 
@@ -34,8 +32,7 @@ def events_per_sec(binary, scenario):
         subprocess.run([binary, "--skip-live", f"--out-dir={out}"],
                        check=True, stdout=subprocess.DEVNULL)
         report = json.loads((Path(out) / "BENCH_sim.json").read_text())
-    rows = [s for s in report["scenarios"] if s["name"] == scenario and
-            s.get("mode", "optimized") == "optimized"]
+    rows = [s for s in report["scenarios"] if s["name"] == scenario]
     if len(rows) != 1:
         raise SystemExit(f"perf_ab: {binary}: {len(rows)} rows named "
                          f"{scenario!r}")
