@@ -3,7 +3,10 @@
 // Unlike the figure benches (which reproduce paper *results*), this binary
 // measures the simulator and the live loopback cluster themselves. Each
 // pinned scenario runs once. The report records events/sec, req/s, p50/p99
-// response times, and allocations from the counting allocator below.
+// response times, and allocations counted by the global operator new of
+// tests/support/counting_new.cpp, which this binary links: a scenario
+// snapshots the process-wide count around its run, so the figure includes
+// everything the run allocates (events, closures, records, strings).
 //
 // Gates (docs/PERF.md):
 //   --pin=PATH               every sim scenario of the BENCH_sim.json at
@@ -16,14 +19,12 @@
 // served nothing). A live cell that fails to start, and a report that
 // breaks core::report_violations' rules, fail the run too; such a report
 // is not written. Exit codes: 0 pass, 1 failure, 2 usage error.
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <new>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -32,52 +33,10 @@
 #include "core/experiment.h"
 #include "core/perf_report.h"
 #include "net/live_cluster.h"
+#include "support/counting_new.h"
 #include "trace/models.h"
 #include "util/json.h"
 #include "zoo/scenario_registry.h"
-
-// ---------------------------------------------------------------------------
-// Counting allocator hook: global new/delete overrides local to this binary.
-// Counts every heap allocation on the process; scenarios snapshot the
-// counter around their run, so the figure includes everything the run
-// allocates (events, closures, records, strings) — which is the point.
-// ---------------------------------------------------------------------------
-
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-
-void* counted_alloc(std::size_t n) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc{};
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void* operator new(std::size_t n, std::align_val_t al) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(al),
-                                   (n + static_cast<std::size_t>(al) - 1) &
-                                       ~(static_cast<std::size_t>(al) - 1)))
-    return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t n, std::align_val_t al) {
-  return operator new(n, al);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -172,14 +131,13 @@ core::PerfScenario run_sim_scenario(const std::string& name,
   s.name = name;
   std::fprintf(stderr, "[bench_perf] %s...\n", name.c_str());
 
-  const std::uint64_t allocs0 = g_heap_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t allocs0 = test_support::process_allocs();
   s.t_start_ms = core::unix_now_ms();
   const auto t0 = std::chrono::steady_clock::now();
   const core::ExperimentResult result = core::run_experiment(config);
   const auto t1 = std::chrono::steady_clock::now();
   s.t_end_ms = core::unix_now_ms();
-  s.allocations =
-      g_heap_allocs.load(std::memory_order_relaxed) - allocs0;
+  s.allocations = test_support::process_allocs() - allocs0;
 
   s.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   s.sim_wall_seconds = result.sim_wall_seconds;
@@ -216,12 +174,11 @@ std::optional<core::PerfScenario> run_live_scenario(const std::string& name,
 
   net::LiveConfig config = live_config();
   config.trace_sample_rate = trace_sample_rate;
-  const std::uint64_t allocs0 = g_heap_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t allocs0 = test_support::process_allocs();
   s.t_start_ms = core::unix_now_ms();
   const net::LiveRunResult result = net::run_live(config);
   s.t_end_ms = core::unix_now_ms();
-  s.allocations =
-      g_heap_allocs.load(std::memory_order_relaxed) - allocs0;
+  s.allocations = test_support::process_allocs() - allocs0;
 
   if (!result.started) return std::nullopt;
   s.wall_seconds = result.load.duration_s;
@@ -283,11 +240,11 @@ std::optional<LivePrefetchCell> run_live_prefetch_cell(const std::string& name,
     config.predictor.confidence = 0.1;
     config.predictor.max_associations = 8;
   }
-  const std::uint64_t allocs0 = g_heap_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t allocs0 = test_support::process_allocs();
   s.t_start_ms = core::unix_now_ms();
   const net::LiveRunResult result = net::run_live(config);
   s.t_end_ms = core::unix_now_ms();
-  s.allocations = g_heap_allocs.load(std::memory_order_relaxed) - allocs0;
+  s.allocations = test_support::process_allocs() - allocs0;
 
   if (!result.started) return std::nullopt;
   s.wall_seconds = result.load.duration_s;

@@ -66,9 +66,11 @@ bool MemoryCache::contains(trace::FileId file) const {
 
 void MemoryCache::evict_lru(LruList& lru, std::uint64_t& used,
                             std::uint64_t capacity, std::uint64_t needed,
-                            std::uint64_t& evictions) {
+                            std::uint64_t& evictions,
+                            std::vector<trace::FileId>* evicted) {
   while (used + needed > capacity && !lru.empty()) {
     const Entry& victim = lru.back();
+    if (evicted) evicted->push_back(victim.file);
     used -= victim.bytes;
     unplace(victim.file);
     lru.pop_back();
@@ -76,9 +78,11 @@ void MemoryCache::evict_lru(LruList& lru, std::uint64_t& used,
   }
 }
 
-void MemoryCache::evict_gdsf(std::uint64_t needed) {
+void MemoryCache::evict_gdsf(std::uint64_t needed,
+                             std::vector<trace::FileId>* evicted) {
   while (demand_bytes_ + needed > demand_capacity_ && !gdsf_index_.empty()) {
     const auto [priority, file] = *gdsf_index_.begin();
+    if (evicted) evicted->push_back(file);
     gdsf_index_.erase(gdsf_index_.begin());
     gdsf_clock_ = priority;  // inflation: future entries outrank the dead
     const LruList::iterator victim = find(file)->it;
@@ -89,7 +93,8 @@ void MemoryCache::evict_gdsf(std::uint64_t needed) {
   }
 }
 
-void MemoryCache::insert_demand(trace::FileId file, std::uint64_t bytes) {
+void MemoryCache::insert_demand(trace::FileId file, std::uint64_t bytes,
+                                std::vector<trace::FileId>* evicted) {
   // Streamed, never cached.
   if (bytes > demand_capacity_ || file > trace::kMaxDenseFileId) return;
   if (const Slot* slot = find(file)) {
@@ -104,10 +109,10 @@ void MemoryCache::insert_demand(trace::FileId file, std::uint64_t bytes) {
     return;
   }
   if (eviction_ == DemandEviction::kGdsf)
-    evict_gdsf(bytes);
+    evict_gdsf(bytes, evicted);
   else
     evict_lru(demand_lru_, demand_bytes_, demand_capacity_, bytes,
-              stats_.demand_evictions);
+              stats_.demand_evictions, evicted);
 
   demand_lru_.push_front(Entry{file, bytes, false, 1.0, 0.0});
   demand_bytes_ += bytes;
@@ -137,7 +142,7 @@ bool MemoryCache::insert_pinned(trace::FileId file, std::uint64_t bytes) {
     unplace(file);
   }
   evict_lru(pinned_lru_, pinned_bytes_, pinned_capacity_, bytes,
-            stats_.pinned_evictions);
+            stats_.pinned_evictions, nullptr);
   pinned_lru_.push_front(Entry{file, bytes, true, 1.0, 0.0});
   pinned_bytes_ += bytes;
   place(file, pinned_lru_.begin());

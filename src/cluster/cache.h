@@ -58,10 +58,12 @@ class MemoryCache {
   /// Non-mutating presence probe (no stats, no LRU update).
   bool contains(trace::FileId file) const;
 
-  /// Inserts after a demand miss. Evicts LRU demand entries as needed.
+  /// Inserts after a demand miss. Evicts LRU demand entries as needed,
+  /// appending each victim to `evicted` (oldest first) when it is given.
   /// Files larger than the demand capacity are not cached (streamed), nor
   /// are ids above trace::kMaxDenseFileId.
-  void insert_demand(trace::FileId file, std::uint64_t bytes);
+  void insert_demand(trace::FileId file, std::uint64_t bytes,
+                     std::vector<trace::FileId>* evicted = nullptr);
 
   /// Proactive placement into the pinned region (prefetch/replication).
   /// Returns false (and places nothing) if bytes exceed pinned capacity.
@@ -115,8 +117,9 @@ class MemoryCache {
   void unplace(trace::FileId file) noexcept;
 
   void evict_lru(LruList& lru, std::uint64_t& used, std::uint64_t capacity,
-                 std::uint64_t needed, std::uint64_t& evictions);
-  void evict_gdsf(std::uint64_t needed);
+                 std::uint64_t needed, std::uint64_t& evictions,
+                 std::vector<trace::FileId>* evicted);
+  void evict_gdsf(std::uint64_t needed, std::vector<trace::FileId>* evicted);
   double gdsf_priority(const Entry& e) const;
   void gdsf_touch(LruList::iterator it);
 

@@ -34,7 +34,8 @@ BackendWorker::BackendWorker(std::uint32_t id, const SiteStore& site,
     : id_(id),
       backend_header_("X-Backend: " + std::to_string(id) + "\r\n"),
       site_(site),
-      capacity_(cache_capacity) {}
+      cache_(cache_capacity, /*pinned_capacity=*/0),
+      payloads_(site.count()) {}
 
 BackendWorker::~BackendWorker() { stop(); }
 
@@ -58,18 +59,12 @@ void BackendWorker::stop() {
   started_ = false;
 }
 
-void BackendWorker::preload(trace::FileId file, std::uint32_t bytes,
-                            bool /*pinned*/) {
+void BackendWorker::preload(trace::FileId file) {
   if (file == trace::kInvalidFile || file >= site_.count()) return;
   {
     std::lock_guard<std::mutex> lock(cache_mu_);
-    auto it = cache_.find(file);
-    if (it != cache_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second.lru_it);  // refresh
-      return;
-    }
+    if (cache_.lookup(file)) return;  // resident: refreshed
   }
-  (void)bytes;  // the table's size is authoritative
   auto payload = std::make_shared<const std::string>(site_.make_payload(file));
   stats_.preloads.fetch_add(1, std::memory_order_relaxed);
   cache_put(file, std::move(payload));
@@ -83,36 +78,23 @@ bool BackendWorker::caches(trace::FileId file) const {
 std::shared_ptr<const std::string> BackendWorker::cache_get(
     trace::FileId file) {
   std::lock_guard<std::mutex> lock(cache_mu_);
-  auto it = cache_.find(file);
-  if (it == cache_.end()) return nullptr;
-  lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-  return it->second.payload;
+  return cache_.lookup(file) ? payloads_[file] : nullptr;
 }
 
 void BackendWorker::cache_put(trace::FileId file,
                               std::shared_ptr<const std::string> payload) {
-  const std::uint64_t bytes = payload->size();
-  if (capacity_ > 0 && bytes > capacity_) return;  // streamed, never cached
   std::lock_guard<std::mutex> lock(cache_mu_);
-  auto it = cache_.find(file);
-  if (it != cache_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-    return;
+  // A resident file (preloaded while this miss was materializing) is only
+  // refreshed and keeps its payload; an oversized one is not cached.
+  cache_.insert_demand(file, payload->size(), &evicted_);
+  for (const trace::FileId victim : evicted_) {
+    obs::flight_record(obs::FlightEventType::kCacheEvict, id_, victim,
+                       payloads_[victim]->size());
+    payloads_[victim].reset();
   }
-  while (capacity_ > 0 && cached_bytes_ + bytes > capacity_ && !lru_.empty()) {
-    const trace::FileId victim = lru_.back();
-    lru_.pop_back();
-    auto vit = cache_.find(victim);
-    if (vit != cache_.end()) {
-      cached_bytes_ -= vit->second.payload->size();
-      obs::flight_record(obs::FlightEventType::kCacheEvict, id_, victim,
-                         vit->second.payload->size());
-      cache_.erase(vit);
-    }
-  }
-  lru_.push_front(file);
-  cache_.emplace(file, CacheEntry{std::move(payload), lru_.begin()});
-  cached_bytes_ += bytes;
+  evicted_.clear();
+  if (!payloads_[file] && cache_.contains(file))
+    payloads_[file] = std::move(payload);
 }
 
 void BackendWorker::run() {

@@ -3,8 +3,12 @@
 // Each worker runs its own epoll loop on its own thread, listening on an
 // ephemeral loopback port. The distributor holds one persistent upstream
 // connection per worker and forwards client requests over it; the worker
-// answers from an in-memory byte-capacity LRU of materialized payloads
-// (there is no filesystem — SiteStore::make_payload is the "disk").
+// answers from materialized payloads (there is no filesystem —
+// SiteStore::make_payload is the "disk"). Which payloads stay resident is
+// decided by a cluster::MemoryCache used as one LRU demand region of the
+// full byte capacity: the same replacement code the simulator and the
+// distributor's belief model run. The worker only keeps the payload
+// bytes of the files that cache holds, indexed by FileId.
 //
 // Proactive placement (PRORD prefetch directives and Algorithm 3 replica
 // pushes) arrives via preload(), called from the distributor thread when
@@ -16,7 +20,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -24,6 +27,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "cluster/cache.h"
 #include "net/http.h"
 #include "net/site_store.h"
 #include "net/socket.h"
@@ -48,7 +52,8 @@ struct WorkerStats {
 class BackendWorker {
  public:
   /// `site` is borrowed and must outlive the worker. `cache_capacity` is
-  /// the byte budget for materialized payloads (0 = cache everything).
+  /// the byte budget for materialized payloads and must be > 0; a payload
+  /// larger than it is streamed and never cached.
   BackendWorker(std::uint32_t id, const SiteStore& site,
                 std::uint64_t cache_capacity);
   ~BackendWorker();
@@ -66,11 +71,12 @@ class BackendWorker {
   std::uint16_t port() const noexcept { return port_; }
   const WorkerStats& stats() const noexcept { return stats_; }
 
-  /// Thread-safe proactive load: materializes the payload and installs it
-  /// in the cache (refreshing LRU position if already resident). `pinned`
-  /// is advisory here — the worker cache is a single LRU; the two-region
-  /// accounting lives in the distributor's belief model.
-  void preload(trace::FileId file, std::uint32_t bytes, bool pinned);
+  /// Thread-safe proactive load: refreshes `file`'s LRU position when it
+  /// is resident, else materializes its payload and inserts it into the
+  /// demand region. The worker keeps one region even for pinned
+  /// placements; the demand/pinned split lives only in the distributor's
+  /// belief model (docs/LIVE_CLUSTER.md "Belief lags reality").
+  void preload(trace::FileId file);
 
   /// True when `file`'s payload is resident right now (parity/debugging).
   bool caches(trace::FileId file) const;
@@ -96,7 +102,6 @@ class BackendWorker {
   const std::uint32_t id_;
   const std::string backend_header_;  ///< "X-Backend: <id>\r\n"
   const SiteStore& site_;
-  const std::uint64_t capacity_;
 
   Fd listen_;
   std::uint16_t port_ = 0;
@@ -108,15 +113,12 @@ class BackendWorker {
   std::unordered_map<std::uint64_t, Conn> conns_;
   std::uint64_t next_conn_key_ = 1;
 
-  // Byte-capacity LRU over materialized payloads.
+  // Guards cache_, payloads_ and evicted_.
   mutable std::mutex cache_mu_;
-  std::list<trace::FileId> lru_;  ///< front = most recent
-  struct CacheEntry {
-    std::shared_ptr<const std::string> payload;
-    std::list<trace::FileId>::iterator lru_it;
-  };
-  std::unordered_map<trace::FileId, CacheEntry> cache_;
-  std::uint64_t cached_bytes_ = 0;
+  cluster::MemoryCache cache_;  ///< one LRU demand region, payload bytes
+  /// Payload of each file cache_ holds, indexed by FileId; null otherwise.
+  std::vector<std::shared_ptr<const std::string>> payloads_;
+  std::vector<trace::FileId> evicted_;  ///< cache_put's victims, reused
 
   WorkerStats stats_;
 };

@@ -544,9 +544,7 @@ LiveRunResult run_live(const LiveConfig& config) {
     for (std::uint32_t b = 0; b < config.backends; ++b) {
       BackendWorker* w = worker_ptrs[b];
       routers.back()->cluster().backend(b).set_proactive_observer(
-          [w](trace::FileId file, std::uint32_t bytes, bool pin) {
-            w->preload(file, bytes, pin);
-          });
+          [w](trace::FileId file, std::uint32_t, bool) { w->preload(file); });
     }
   }
 

@@ -29,7 +29,6 @@
 #include "logmining/replication.h"
 #include "policies/adaptation_hooks.h"
 #include "policies/lard.h"
-#include "predict/inline_link.h"
 #include "simcore/simulator.h"
 
 namespace prord::policies {
@@ -172,12 +171,9 @@ class Prord final : public DistributionPolicy {
                         std::span<const trace::FileId> history,
                         cluster::Cluster& cluster);
 
+  /// Predicts and learns in place through model_->predictor(), so a model
+  /// swapped in by set_model() is used from the next request on.
   std::shared_ptr<logmining::MiningModel> model_;
-  /// Prediction seam: every predict/learn call goes through the same
-  /// IPredictorLink interface the live cluster's PredictionService
-  /// implements. The inline link delegates verbatim to model_->predictor()
-  /// (the golden tables pin that equivalence); set_model() rebinds it.
-  predict::InlineLink predict_link_;
   const trace::FileTable& files_;
   PrordOptions options_;
   Lard lard_;

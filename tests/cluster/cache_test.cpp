@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
+#include "support/reference_lru.h"
 #include "util/rng.h"
 
 namespace prord::cluster {
@@ -249,6 +251,82 @@ INSTANTIATE_TEST_SUITE_P(Eviction, CacheSparseIds,
                                       ? std::string("Lru")
                                       : std::string("Gdsf");
                          });
+
+TEST(Cache, InsertDemandReportsGdsfVictims) {
+  MemoryCache c(3000, 0, DemandEviction::kGdsf);
+  std::vector<trace::FileId> evicted;
+  c.insert_demand(1, 2000, &evicted);  // big, lowest priority
+  c.insert_demand(2, 500, &evicted);
+  c.insert_demand(3, 500, &evicted);
+  EXPECT_TRUE(evicted.empty());
+  c.insert_demand(4, 1000, &evicted);
+  EXPECT_EQ(evicted, std::vector<trace::FileId>{1});
+  EXPECT_FALSE(c.contains(1));
+  EXPECT_EQ(c.stats().demand_evictions, evicted.size());
+}
+
+// A single LRU demand region must replace exactly like the byte-capacity
+// LRU the live worker used to keep (tests/support/reference_lru.h): same
+// residency, same bytes and the same victims in the same order after
+// every lookup, miss-then-insert and refresh, over random capacities and
+// sizes that include files larger than the cache. Each trial ends by
+// inserting a file of the full capacity, which evicts every resident file
+// oldest first, so the two LRU orders are compared in full as well.
+TEST(Cache, DemandRegionMatchesReferenceLru) {
+  util::Rng rng(2024);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::uint64_t capacity = 1 + rng.below(trial % 2 ? 400 : 20'000);
+    const auto files = static_cast<trace::FileId>(2 + rng.below(60));
+    std::vector<std::uint64_t> size(files);
+    for (std::uint64_t& bytes : size)
+      bytes = 1 + rng.below(rng.bernoulli(0.1) ? 2 * capacity
+                                               : capacity / 3 + 1);
+
+    MemoryCache cache(capacity, 0);
+    test_support::ReferenceLru ref(capacity);
+    std::vector<trace::FileId> got, want;
+    std::uint64_t victims = 0;
+    for (int step = 0; step < 400; ++step) {
+      const auto f = static_cast<trace::FileId>(rng.below(files));
+      got.clear();
+      want.clear();
+      switch (rng.below(3)) {
+        case 0:  // bare lookup: a hit refreshes, a miss changes nothing
+          ASSERT_EQ(cache.lookup(f), ref.lookup(f));
+          break;
+        case 1:  // a request: miss, then insert
+          ASSERT_EQ(cache.lookup(f), ref.lookup(f));
+          if (!cache.contains(f)) {
+            cache.insert_demand(f, size[f], &got);
+            ref.insert(f, size[f], want);
+          }
+          break;
+        default: {  // insert of a resident file refreshes it
+          const std::vector<trace::FileId> resident = ref.order();
+          const trace::FileId r =
+              resident.empty() ? f : resident[rng.below(resident.size())];
+          cache.insert_demand(r, size[r], &got);
+          ref.insert(r, size[r], want);
+        }
+      }
+      ASSERT_EQ(got, want) << "trial " << trial << " step " << step;
+      victims += got.size();
+      ASSERT_EQ(cache.demand_bytes(), ref.bytes());
+      ASSERT_EQ(cache.num_files(), ref.size());
+      for (trace::FileId g = 0; g < files; ++g)
+        ASSERT_EQ(cache.contains(g), ref.contains(g))
+            << "trial " << trial << " step " << step << " file " << g;
+    }
+    got.clear();
+    want.clear();
+    cache.insert_demand(files, capacity, &got);
+    ref.insert(files, capacity, want);
+    ASSERT_EQ(got, want) << "trial " << trial;
+    victims += got.size();
+    ASSERT_EQ(cache.num_files(), 1u);
+    ASSERT_EQ(cache.stats().demand_evictions, victims);
+  }
+}
 
 }  // namespace
 }  // namespace prord::cluster

@@ -31,7 +31,7 @@ constexpr PolicyKind kAllPolicies[] = {
     PolicyKind::kLardReplicated, PolicyKind::kExtLardPhttp,
     PolicyKind::kPress,        PolicyKind::kPrord,
     PolicyKind::kLardBundle,   PolicyKind::kLardDistribution,
-    PolicyKind::kLardPrefetchNav};
+    PolicyKind::kLardPrefetchNav, PolicyKind::kPrordNoReplication};
 
 trace::WorkloadSpec small_spec() {
   auto spec = trace::synthetic_spec();
@@ -125,6 +125,9 @@ std::unique_ptr<policies::DistributionPolicy> make_inner(
     case PolicyKind::kLardPrefetchNav:
       return std::make_unique<policies::Prord>(
           std::move(model), files, policies::lard_prefetch_nav_options());
+    case PolicyKind::kPrordNoReplication:
+      return std::make_unique<policies::Prord>(
+          std::move(model), files, policies::prord_no_replication_options());
   }
   return nullptr;
 }

@@ -23,12 +23,6 @@ trace::Workload small_workload(std::uint64_t seed = 41) {
   return trace::build_workload(trace::generate_trace(site, gp).records);
 }
 
-std::shared_ptr<logmining::MiningModel> mining_for(
-    const trace::Workload& w) {
-  return std::make_shared<logmining::MiningModel>(w.requests,
-                                                  logmining::MiningConfig{});
-}
-
 // ---------------------------------------------------------------------------
 // Failure injection.
 

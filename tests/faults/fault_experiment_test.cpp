@@ -92,8 +92,9 @@ TEST(FaultExperiment, ReplicationShortensPostRejoinRewarm) {
   // strictly sooner than the ablation's demand-miss refill through the
   // disk, if that finishes at all.
   ASSERT_TRUE(with.rewarms[0].completed());
-  if (without.rewarms[0].completed())
+  if (without.rewarms[0].completed()) {
     EXPECT_LT(with.rewarms[0].duration(), without.rewarms[0].duration());
+  }
 
   // Conservation holds for both variants under the crash-and-rejoin.
   EXPECT_EQ(with.metrics.completed + with.metrics.failed, with.num_requests);

@@ -52,10 +52,12 @@ TEST(Apriori, ConfidenceComputedCorrectly) {
   for (int i = 0; i < 2; ++i) sessions.push_back(txn({1, 3}));
   m.train(sessions);
   for (const auto& r : m.rules()) {
-    if (r.antecedent == std::vector<trace::FileId>{1} && r.consequent == 2)
+    if (r.antecedent == std::vector<trace::FileId>{1} && r.consequent == 2) {
       EXPECT_NEAR(r.confidence, 0.8, 1e-9);
-    if (r.antecedent == std::vector<trace::FileId>{1} && r.consequent == 3)
+    }
+    if (r.antecedent == std::vector<trace::FileId>{1} && r.consequent == 3) {
       EXPECT_NEAR(r.confidence, 0.2, 1e-9);
+    }
   }
 }
 

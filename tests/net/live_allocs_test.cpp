@@ -20,7 +20,7 @@ namespace {
 
 /// Server allocations per completed request above which the relay has
 /// regressed (the owning codec measured ~17 on this shape).
-constexpr double kMaxAllocsPerRequest = 3.0;
+constexpr double kMaxAllocsPerRequest = 2.0;
 
 TEST(LiveAllocs, ClosedLoopRelayStaysWithinBudget) {
   // The perfbench live_closed shape at a smaller request count: PRORD over

@@ -56,7 +56,7 @@ class RelayCluster {
                double trace_sample_rate = 0.0) {
     for (std::uint32_t i = 0; i < backends; ++i) {
       workers_.push_back(std::make_unique<BackendWorker>(
-          i, store_, /*cache_capacity=*/0));
+          i, store_, /*cache_capacity=*/1ull << 26));
       started_ = workers_.back()->start() && started_;
     }
     core::ExperimentConfig cfg;

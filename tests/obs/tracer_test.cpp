@@ -54,8 +54,11 @@ TEST(Tracer, LowerRateSamplesSubset) {
   // The hash threshold is monotone in the rate, so every request traced at
   // 10% is also traced at 50% — sample sets nest across rates.
   Tracer lo(0.1), hi(0.5);
-  for (std::uint64_t i = 0; i < 20000; ++i)
-    if (lo.sampled(i)) EXPECT_TRUE(hi.sampled(i));
+  for (std::uint64_t i = 0; i < 20000; ++i) {
+    if (lo.sampled(i)) {
+      EXPECT_TRUE(hi.sampled(i));
+    }
+  }
 }
 
 TEST(Tracer, RateIsClamped) {

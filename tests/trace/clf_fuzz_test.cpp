@@ -66,7 +66,9 @@ TEST(ClfFuzz, TruncationsRejectCleanly) {
     const auto rec = parser.parse_line(valid.substr(0, len));
     // Only near-complete prefixes could possibly parse (missing bytes is
     // missing fields).
-    if (rec) EXPECT_GE(len, valid.size() - 6);
+    if (rec) {
+      EXPECT_GE(len, valid.size() - 6);
+    }
   }
 }
 
